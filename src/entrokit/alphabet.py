@@ -82,6 +82,12 @@ class Pmf:
         probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)
 
+    def __setstate__(self, state: dict) -> None:
+        # Unpickled arrays come back writeable (e.g. a Pmf sent to a worker
+        # process); restore the read-only contract without re-validating.
+        self.__dict__.update(state)
+        self.probs.flags.writeable = False
+
     @property
     def size(self) -> int:
         return int(self.probs.size)

@@ -20,8 +20,10 @@ decomposition identity and the KL/chi-square sandwich as it is consumed.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -244,17 +246,16 @@ def ks_distance(sorted_samples: Sequence[float] | np.ndarray) -> float:
     return max(d_plus, d_minus)
 
 
-def _replicate_chunk(args) -> tuple[list[float], list[float], list[float]]:
+def _replicate_chunk(
+    pmf: Pmf, n: int, pop: PopulationSummary, sampler: str, seeds: list[int]
+) -> tuple[list[float], list[float], list[float]]:
     """Worker body: simulate a block of replicates and return (z, kl, chi2) lists."""
-    probs, n, seeds, sampler, entropy_val, sigma2, sigma = args
-    pmf = Pmf(probs)
-    pop = PopulationSummary(entropy=entropy_val, sigma2=sigma2, sigma=sigma, size=pmf.size)
     sample = sample_counts_categorical if sampler == "categorical" else sample_counts_multinomial
     z_out: list[float] = []
     kl_out: list[float] = []
     chi2_out: list[float] = []
     for seed in seeds:
-        counts = sample(pmf, n, int(seed))
+        counts = sample(pmf, n, seed)
         rep = decompose(counts, pmf, pop)
         gap = rep.plugin_entropy - pop.entropy
         if abs(gap - (rep.linear_term - rep.kl_term)) > _IDENTITY_TOL:
@@ -273,6 +274,25 @@ def _replicate_chunk(args) -> tuple[list[float], list[float], list[float]]:
     return z_out, kl_out, chi2_out
 
 
+def _pool_size(workers: int, chunks: int) -> int:
+    """Processes worth starting: no more than the chunks or the host's CPUs."""
+    return min(workers, chunks, os.cpu_count() or 1)
+
+
+# A worker process's chunk body, installed once per process so the Pmf (and
+# its cached sampler tables) crosses the process boundary once, not per chunk.
+_worker_body = None
+
+
+def _install_worker_body(body) -> None:
+    global _worker_body
+    _worker_body = body
+
+
+def _run_worker_chunk(seeds: list[int]) -> tuple[list[float], list[float], list[float]]:
+    return _worker_body(seeds)
+
+
 def _simulate(
     pmf: Pmf,
     n: int,
@@ -282,23 +302,17 @@ def _simulate(
     workers: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run one replicate block, in order, optionally across processes."""
-    chunks = [
-        (
-            pmf.probs,
-            n,
-            [int(s) for s in seeds[lo : lo + _WORKER_CHUNK]],
-            sampler,
-            pop.entropy,
-            pop.sigma2,
-            pop.sigma,
-        )
-        for lo in range(0, len(seeds), _WORKER_CHUNK)
-    ]
-    if workers <= 1 or len(chunks) == 1:
-        parts = [_replicate_chunk(c) for c in chunks]
+    seed_list = seeds.tolist()
+    chunks = [seed_list[lo : lo + _WORKER_CHUNK] for lo in range(0, len(seed_list), _WORKER_CHUNK)]
+    body = partial(_replicate_chunk, pmf, n, pop, sampler)
+    processes = _pool_size(workers, len(chunks))
+    if processes <= 1:
+        parts = [body(c) for c in chunks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_replicate_chunk, chunks))
+        with ProcessPoolExecutor(
+            max_workers=processes, initializer=_install_worker_body, initargs=(body,)
+        ) as pool:
+            parts = list(pool.map(_run_worker_chunk, chunks))
     z = np.array([v for part in parts for v in part[0]], dtype=np.float64)
     kl = np.array([v for part in parts for v in part[1]], dtype=np.float64)
     chi2 = np.array([v for part in parts for v in part[2]], dtype=np.float64)

@@ -20,12 +20,25 @@ other:
 The binomial sampler inside the chain uses CDF inversion for
 ``n*p <= 30`` and Hormann's BTRS transformed rejection above; both are
 exact samplers, not approximations.
+
+The chain is a scalar loop over cells.  Its uniforms come from numpy
+blocks of the same counter stream, consumed one at a time (see
+:class:`CounterRng`); its per-cell conditional probabilities are computed
+once per Pmf and cached; BTRS sets up its log acceptance test only when
+a proposal misses the squeeze.  The chain's logs, lgammas and powers
+stay on libm (``math.log``, ``math.lgamma``, ``**``) and are never moved
+to numpy: numpy's SIMD ``power`` and ``log`` are not correctly rounded
+and differ from libm in the last bit on some inputs (on an AVX-512 Xeon,
+each disagreed with libm on 3 to 21 of 20 000 random inputs, depending
+on the input range), and one such bit can flip an accept decision or an
+inversion step and so change the counts.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -52,6 +65,12 @@ _U64_27 = np.uint64(27)
 _U64_30 = np.uint64(30)
 _U64_31 = np.uint64(31)
 _TWO_NEG_53 = 2.0**-53
+
+# CounterRng.uniform(): scalar mixing for the first draws of a stream
+# (a K=2 chain needs a handful), then numpy blocks of growing size.
+_SCALAR_DRAWS = 8
+_FIRST_BLOCK = 32
+_MAX_BLOCK = 1024
 
 
 class SamplingError(RuntimeError):
@@ -113,26 +132,49 @@ class CounterRng:
 
     Output ``i`` equals ``mix64(seed + (i+1) * golden)``; the scalar and
     batched paths advance the same counter and agree bit for bit.
+
+    The first ``_SCALAR_DRAWS`` scalar draws are mixed one at a time, so a
+    short stream never pays for a numpy call.  Later scalar draws pop
+    from a block of upcoming outputs made by the batched path, with
+    block sizes doubling from ``_FIRST_BLOCK`` to ``_MAX_BLOCK``.
+    ``_counter`` counts consumed outputs; :meth:`uniforms` drops the
+    block, so any interleaving of the two calls yields one stream.
     """
 
-    __slots__ = ("_key", "_counter")
+    __slots__ = ("_key", "_counter", "_buffer", "_block")
 
     def __init__(self, stream_seed: int):
         if not 0 <= stream_seed <= _MASK64:
             raise ValueError("stream_seed must be a 64-bit unsigned integer")
         self._key = int(stream_seed)
         self._counter = 0
+        self._buffer: list[float] = []  # upcoming outputs, next one last
+        self._block = _FIRST_BLOCK
 
     def uniform(self) -> float:
         """One double in [0, 1) with 53 random bits."""
         self._counter += 1
-        z = _mix64(self._key + self._counter * _GOLDEN)
-        return (z >> 11) * _TWO_NEG_53
+        if self._buffer:
+            return self._buffer.pop()
+        if self._counter <= _SCALAR_DRAWS:
+            z = _mix64(self._key + self._counter * _GOLDEN)
+            return (z >> 11) * _TWO_NEG_53
+        block = self._outputs(self._counter, self._block)[::-1].tolist()
+        self._block = min(2 * self._block, _MAX_BLOCK)
+        value = block.pop()
+        self._buffer = block
+        return value
 
     def uniforms(self, count: int) -> np.ndarray:
         """A batch of doubles in [0, 1)."""
-        idx = np.arange(self._counter + 1, self._counter + count + 1, dtype=np.uint64)
+        self._buffer = []
+        values = self._outputs(self._counter + 1, count)
         self._counter += count
+        return values
+
+    def _outputs(self, first: int, count: int) -> np.ndarray:
+        """Outputs ``first .. first+count-1`` (1-based counters); no state change."""
+        idx = np.arange(first, first + count, dtype=np.uint64)
         z = _mix64_array(np.uint64(self._key) + idx * np.uint64(_GOLDEN))
         return (z >> _U64_11).astype(np.float64) * _TWO_NEG_53
 
@@ -194,8 +236,21 @@ class AliasTable:
         return np.where(u_flip < self._threshold[idx], idx, self._alias[idx])
 
 
+class _ChainPlan(NamedTuple):
+    """Per-Pmf constants of the conditional-binomial chain.
+
+    ``cond[i]`` is ``p_i / tail_i`` for the chain cells ``0 .. K-2``, as
+    Python floats, where ``tail_i`` is the suffix mass of cells ``i..K-1``.
+    The list stops early at the first cell whose tail is not positive;
+    ``underflow`` then holds that ``(cell, tail)``.
+    """
+
+    cond: list[float]
+    underflow: tuple[int, float] | None
+
+
 _ALIAS_CACHE: "WeakKeyDictionary[Pmf, AliasTable]" = WeakKeyDictionary()
-_SUFFIX_CACHE: "WeakKeyDictionary[Pmf, np.ndarray]" = WeakKeyDictionary()
+_PLAN_CACHE: "WeakKeyDictionary[Pmf, _ChainPlan]" = WeakKeyDictionary()
 _DRAW_BATCH = 1 << 20
 
 
@@ -207,13 +262,16 @@ def _alias_table(pmf: Pmf) -> AliasTable:
     return table
 
 
-def _suffix_mass(pmf: Pmf) -> np.ndarray:
-    suffix = _SUFFIX_CACHE.get(pmf)
-    if suffix is None:
-        suffix = np.cumsum(pmf.probs[::-1])[::-1]
-        suffix.flags.writeable = False
-        _SUFFIX_CACHE[pmf] = suffix
-    return suffix
+def _chain_plan(pmf: Pmf) -> _ChainPlan:
+    plan = _PLAN_CACHE.get(pmf)
+    if plan is None:
+        tails = np.cumsum(pmf.probs[::-1])[::-1][:-1]
+        bad = np.flatnonzero(tails <= 0.0)
+        stop = int(bad[0]) if bad.size else tails.size
+        underflow = (stop, float(tails[stop])) if bad.size else None
+        plan = _ChainPlan((pmf.probs[:stop] / tails[:stop]).tolist(), underflow)
+        _PLAN_CACHE[pmf] = plan
+    return plan
 
 
 def _check_total(n: int) -> None:
@@ -248,37 +306,25 @@ def sample_counts_multinomial(pmf: Pmf, n: int, seed: int) -> CountVector:
     underflows while draws are still owed (never silently).
     """
     _check_total(n)
-    probs = pmf.probs
-    suffix = _suffix_mass(pmf)
+    plan = _chain_plan(pmf)
     rng = CounterRng(seed)
-    k = pmf.size
-    counts = np.zeros(k, dtype=np.int64)
+    counts = [0] * pmf.size
     remaining = n
-    for i in range(k - 1):
+    for i, p_cond in enumerate(plan.cond):
         if remaining == 0:
             break
-        tail = float(suffix[i])
-        if tail <= 0.0:
+        c = _binomial(remaining, p_cond, rng)
+        counts[i] = c
+        remaining -= c
+    if remaining:
+        if plan.underflow is not None:
+            cell, tail = plan.underflow
             raise SamplingError(
-                f"remaining mass underflowed to {tail!r} at cell {i} with "
+                f"remaining mass underflowed to {tail!r} at cell {cell} with "
                 f"{remaining} draws outstanding"
             )
-        p_cond = float(probs[i]) / tail
-        if p_cond >= 1.0:
-            counts[i] = remaining
-            remaining = 0
-        else:
-            c = _binomial(remaining, p_cond, rng)
-            counts[i] = c
-            remaining -= c
-    else:
-        counts[k - 1] = remaining
-        remaining = 0
-    if remaining != 0:
-        # for-else above assigns the last cell; reaching here means an early
-        # break with remaining == 0, so nothing is outstanding.
-        raise SamplingError("conditional-binomial chain left draws unassigned")
-    return CountVector(counts, n)
+        counts[-1] = remaining
+    return CountVector(np.array(counts, dtype=np.int64), n)
 
 
 def _binomial(n: int, p: float, rng: CounterRng) -> int:
@@ -316,7 +362,8 @@ def _binomial_btrs(n: int, p: float, rng: CounterRng) -> int:
 
     Valid for p <= 1/2 and n*p >= 10 (callers switch to inversion well
     before that).  The squeeze step accepts ~86% of proposals without
-    evaluating logs.
+    evaluating logs; the log test's constants are computed only when a
+    proposal first reaches it.
     """
     q = 1.0 - p
     spq = math.sqrt(n * p * q)
@@ -324,13 +371,11 @@ def _binomial_btrs(n: int, p: float, rng: CounterRng) -> int:
     a = -0.0873 + 0.0248 * b + 0.01 * p
     c = n * p + 0.5
     v_r = 0.92 - 4.2 / b
-    alpha = (2.83 + 5.1 / b) * spq
-    lpq = math.log(p / q)
-    m = math.floor((n + 1) * p)
-    h = math.lgamma(m + 1) + math.lgamma(n - m + 1)
+    h = None  # the log test's constants, computed once a proposal needs them
+    uniform = rng.uniform
     while True:
-        u = rng.uniform() - 0.5
-        v = rng.uniform()
+        u = uniform() - 0.5
+        v = uniform()
         us = 0.5 - abs(u)
         if us <= 0.0:
             continue
@@ -338,9 +383,14 @@ def _binomial_btrs(n: int, p: float, rng: CounterRng) -> int:
         if k < 0 or k > n:
             continue
         if us >= 0.07 and v <= v_r:
-            return int(k)
-        log_accept = h - math.lgamma(k + 1) - math.lgamma(n - k + 1) + (k - m) * lpq
+            return k
         if v <= 0.0:
-            return int(k)
+            return k
+        if h is None:
+            alpha = (2.83 + 5.1 / b) * spq
+            lpq = math.log(p / q)
+            m = math.floor((n + 1) * p)
+            h = math.lgamma(m + 1) + math.lgamma(n - m + 1)
+        log_accept = h - math.lgamma(k + 1) - math.lgamma(n - k + 1) + (k - m) * lpq
         if math.log(v * alpha / (a / (us * us) + b)) <= log_accept:
-            return int(k)
+            return k

@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -122,6 +123,13 @@ class TestValidatePmf:
 
     def test_pmf_is_immutable(self):
         pmf = validate_pmf((0.5, 0.5))
+        with pytest.raises(ValueError):
+            pmf.probs[0] = 0.9
+
+    def test_pmf_stays_immutable_through_pickle(self):
+        # worker processes receive the Pmf pickled
+        pmf = pickle.loads(pickle.dumps(validate_pmf((0.25, 0.75))))
+        assert pmf.probs.tolist() == [0.25, 0.75]
         with pytest.raises(ValueError):
             pmf.probs[0] = 0.9
 

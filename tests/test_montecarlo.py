@@ -9,12 +9,14 @@ from entrokit.montecarlo import (
     ConfigError,
     ExperimentConfig,
     KRule,
+    _pool_size,
     ks_distance,
     parse_k_rule,
     run_be_sweep,
     run_clt,
     run_mdp,
 )
+from entrokit import montecarlo
 from entrokit.sampling import CounterRng
 
 
@@ -114,6 +116,13 @@ class TestRunClt:
         assert np.array_equal(a.z_samples, c.z_samples)
         assert a.ks_distance == b.ks_distance == c.ks_distance
 
+    def test_worker_processes_do_not_change_results(self):
+        # 600 replicates make three chunks, so two workers start a pool
+        [a] = run_clt(small_config(replicates=600))
+        [b] = run_clt(small_config(replicates=600, workers=2))
+        assert np.array_equal(a.z_samples, b.z_samples)
+        assert a.mean_kl == b.mean_kl and a.mean_chi2 == b.mean_chi2
+
     def test_samplers_both_run(self):
         for sampler in ("categorical", "multinomial"):
             [s] = run_clt(small_config(sampler=sampler))
@@ -138,6 +147,23 @@ class TestRunClt:
         assert s.z_samples[0] <= s.z_samples[-1]
         assert s.z_mean == pytest.approx(float(np.mean(s.z_samples)), abs=1e-12)
         assert 0.0 <= s.ks_distance <= 1.0
+
+
+class TestPoolSize:
+    @pytest.mark.parametrize(
+        "workers, chunks, cpus, expected",
+        [
+            (1, 10, 8, 1),
+            (2, 177, 8, 2),
+            (10**6, 3, 8, 3),
+            (10**6, 10**6, 8, 8),
+            (4, 10, None, 1),
+            (4, 1, 8, 1),
+        ],
+    )
+    def test_clamps_to_chunks_and_cpus(self, monkeypatch, workers, chunks, cpus, expected):
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+        assert _pool_size(workers, chunks) == expected
 
 
 class TestRunBeSweep:

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 import time
 
 import numpy as np
@@ -7,14 +9,23 @@ from scipy.stats import binom, chi2
 
 from entrokit.alphabet import FamilySpec, HARMONIC, build_family, validate_pmf
 from entrokit.sampling import (
+    _FIRST_BLOCK,
+    _GOLDEN,
+    _MAX_BLOCK,
+    _SCALAR_DRAWS,
+    MAX_TOTAL,
     AliasTable,
     CounterRng,
     CountVector,
+    SamplingError,
     SeedSpec,
     _binomial,
     _binomial_btrs,
     _binomial_inversion,
+    _chain_plan,
+    _ChainPlan,
     _mix64,
+    _PLAN_CACHE,
     _mix64_array,
     derive_stream_seed,
     derive_stream_seeds,
@@ -82,6 +93,31 @@ class TestCounterRng:
         b = CounterRng(31337)
         mixed = [a.uniform(), *a.uniforms(3).tolist(), a.uniform()]
         assert mixed == b.uniforms(5).tolist()
+
+    @staticmethod
+    def _reference(seed, first, count):
+        return [(_mix64(seed + i * _GOLDEN) >> 11) * 2.0**-53 for i in range(first, first + count)]
+
+    def test_scalar_draws_cross_every_block_boundary(self):
+        draws = _SCALAR_DRAWS + sum(_FIRST_BLOCK << j for j in range(7)) + 100
+        rng = CounterRng(0xFEEDFACE)
+        assert [rng.uniform() for _ in range(draws)] == self._reference(0xFEEDFACE, 1, draws)
+        assert rng._block == _MAX_BLOCK
+
+    def test_random_interleavings_match_the_counter_formula(self):
+        # runs of uniform() long enough to reach the largest block, broken by
+        # uniforms(k) calls that drop the block at arbitrary points
+        picker = random.Random(17)
+        for trial in range(40):
+            seed = picker.getrandbits(64)
+            rng = CounterRng(seed)
+            got: list[float] = []
+            while len(got) < 4000:
+                if picker.random() < 0.8:
+                    got.extend(rng.uniform() for _ in range(picker.randint(1, 300)))
+                else:
+                    got.extend(rng.uniforms(picker.randint(0, 40)).tolist())
+            assert got == self._reference(seed, 1, len(got)), trial
 
     def test_range_and_coarse_uniformity(self):
         u = CounterRng(2024).uniforms(200_000)
@@ -185,6 +221,64 @@ class TestSamplers:
         eb = col * b.sum() / col.sum()
         stat = float(np.sum((a - ea) ** 2 / ea) + np.sum((b - eb) ** 2 / eb))
         assert stat < chi2.ppf(0.999, 19)
+
+
+# sha256 of the chain's counts (int64 little-endian, replicate after
+# replicate) for seeds derive_stream_seeds(2024, case << 20, reps); recorded
+# before the buffered stream, the per-Pmf cell plan and the lazy BTRS
+# constant, so they pin the chain's output stream bit for bit.
+GOLDEN_CHAIN = (
+    # harmonic K=1000 at n=1e6: BTRS throughout, flipped near the end
+    ("harmonic:1000", 10**6, 8, "ac65800d82e577a8bcae8c8fa3c5641feaa959900b35ce02f999f6bfbfb25568"),
+    # mostly inversion
+    ("harmonic:50", 200, 16, "2d964adb00882bbe094d1d31c0b6a5c7fb88939dab92685313f2519257c520a3"),
+    # K=2 with p_cond ~ 0.73: flipped BTRS
+    ("expgeom:2", 1000, 16, "7082331e3735e88840c1734da06b1cca8c9b12a8191710ad86afa30c7b87322e"),
+    ("expgeom:2", 100_000, 16, "5759d8b32a7909c2cca7175f5339848a0533e1c777e27e7452221665dd2fc0e9"),
+    # flipped cells on both branches
+    ("expgeom:30", 10_000, 16, "66f598cdf63debfd7a22f853009d135b515b0e802ee97e5fd142f76016ca8840"),
+    # flipped inversion
+    ((0.999, 0.001), 10_000, 16, "cff7bd5b03c019b6fa5105e8ba480e09b883873eb17c4e9786d2e94d6e804299"),
+    # the last chain cell has p_cond >= 1 (its tail rounds to p_i)
+    ((0.5, 0.5, 1e-300), 1000, 16, "033daed853bd2259b6e3e594541a6babf73e7acf720bedd2fccf9d732b7d36a6"),
+    # n < K: the chain runs out of draws early
+    ("harmonic:1000", 5, 16, "c875a2921bbd717b89d390a71551b13bea90e4105f34680369e5aafbfdf5815f"),
+    ("harmonic:6", 1, 16, "22d99fb5546f055feb233228fe0e3e23d44d76c5af03447b262e955a9b541fda"),
+    ("uniform:2", 10**6, 16, "7e43fd7d3c6bc2ffa426a9338330435f52bf48920f9c53d8a60a1e45edda31d3"),
+    ("harmonic:100", 10**12, 8, "0f17f01b8f8463eb3154f1331e5272e157c181b6ca4e30469810feed8231a7eb"),
+    ("expgeom:2", MAX_TOTAL, 8, "02c74721ee4b06334062a36dad539fb34c2cfbc60145867aa785aeeabf974a32"),
+)
+
+
+def _golden_pmf(spec):
+    if isinstance(spec, tuple):
+        return validate_pmf(spec)
+    family, size = spec.split(":")
+    return build_family(FamilySpec(family, int(size)))
+
+
+class TestChainGolden:
+    @pytest.mark.parametrize("case", range(len(GOLDEN_CHAIN)))
+    def test_counts_match_recorded_hash(self, case):
+        spec, n, reps, expected = GOLDEN_CHAIN[case]
+        pmf = _golden_pmf(spec)
+        digest = hashlib.sha256()
+        for seed in derive_stream_seeds(2024, case << 20, reps):
+            counts = sample_counts_multinomial(pmf, n, int(seed)).counts
+            digest.update(counts.astype("<i8").tobytes())
+        assert digest.hexdigest() == expected
+
+    def test_plan_is_built_once_per_pmf(self):
+        pmf = build_family(FamilySpec(HARMONIC, 7))
+        plan = _chain_plan(pmf)
+        assert _chain_plan(pmf) is plan
+        assert len(plan.cond) == 6 and plan.underflow is None
+
+    def test_underflowed_tail_raises_at_its_cell(self):
+        pmf = build_family(FamilySpec(HARMONIC, 4))
+        _PLAN_CACHE[pmf] = _ChainPlan([0.25], (1, 0.0))
+        with pytest.raises(SamplingError, match="underflowed to 0.0 at cell 1 with"):
+            sample_counts_multinomial(pmf, 10**6, 3)
 
 
 class TestBinomialSampler:
