@@ -279,20 +279,6 @@ def _pool_size(workers: int, chunks: int) -> int:
     return min(workers, chunks, os.cpu_count() or 1)
 
 
-# A worker process's chunk body, installed once per process so the Pmf (and
-# its cached sampler tables) crosses the process boundary once, not per chunk.
-_worker_body = None
-
-
-def _install_worker_body(body) -> None:
-    global _worker_body
-    _worker_body = body
-
-
-def _run_worker_chunk(seeds: list[int]) -> tuple[list[float], list[float], list[float]]:
-    return _worker_body(seeds)
-
-
 def _simulate(
     pmf: Pmf,
     n: int,
@@ -309,10 +295,8 @@ def _simulate(
     if processes <= 1:
         parts = [body(c) for c in chunks]
     else:
-        with ProcessPoolExecutor(
-            max_workers=processes, initializer=_install_worker_body, initargs=(body,)
-        ) as pool:
-            parts = list(pool.map(_run_worker_chunk, chunks))
+        with ProcessPoolExecutor(max_workers=processes) as pool:
+            parts = list(pool.map(body, chunks))
     z = np.array([v for part in parts for v in part[0]], dtype=np.float64)
     kl = np.array([v for part in parts for v in part[1]], dtype=np.float64)
     chi2 = np.array([v for part in parts for v in part[2]], dtype=np.float64)

@@ -67,10 +67,9 @@ _U64_31 = np.uint64(31)
 _TWO_NEG_53 = 2.0**-53
 
 # CounterRng.uniform(): scalar mixing for the first draws of a stream
-# (a K=2 chain needs a handful), then numpy blocks of growing size.
+# (a K=2 chain needs a handful), then numpy blocks of a fixed size.
 _SCALAR_DRAWS = 8
-_FIRST_BLOCK = 32
-_MAX_BLOCK = 1024
+_BLOCK = 512
 
 
 class SamplingError(RuntimeError):
@@ -135,13 +134,12 @@ class CounterRng:
 
     The first ``_SCALAR_DRAWS`` scalar draws are mixed one at a time, so a
     short stream never pays for a numpy call.  Later scalar draws pop
-    from a block of upcoming outputs made by the batched path, with
-    block sizes doubling from ``_FIRST_BLOCK`` to ``_MAX_BLOCK``.
+    from a block of the next ``_BLOCK`` outputs made by the batched path.
     ``_counter`` counts consumed outputs; :meth:`uniforms` drops the
     block, so any interleaving of the two calls yields one stream.
     """
 
-    __slots__ = ("_key", "_counter", "_buffer", "_block")
+    __slots__ = ("_key", "_counter", "_buffer")
 
     def __init__(self, stream_seed: int):
         if not 0 <= stream_seed <= _MASK64:
@@ -149,7 +147,6 @@ class CounterRng:
         self._key = int(stream_seed)
         self._counter = 0
         self._buffer: list[float] = []  # upcoming outputs, next one last
-        self._block = _FIRST_BLOCK
 
     def uniform(self) -> float:
         """One double in [0, 1) with 53 random bits."""
@@ -159,8 +156,7 @@ class CounterRng:
         if self._counter <= _SCALAR_DRAWS:
             z = _mix64(self._key + self._counter * _GOLDEN)
             return (z >> 11) * _TWO_NEG_53
-        block = self._outputs(self._counter, self._block)[::-1].tolist()
-        self._block = min(2 * self._block, _MAX_BLOCK)
+        block = self._outputs(self._counter, _BLOCK)[::-1].tolist()
         value = block.pop()
         self._buffer = block
         return value
@@ -239,13 +235,15 @@ class AliasTable:
 class _ChainPlan(NamedTuple):
     """Per-Pmf constants of the conditional-binomial chain.
 
-    ``cond[i]`` is ``p_i / tail_i`` for the chain cells ``0 .. K-2``, as
-    Python floats, where ``tail_i`` is the suffix mass of cells ``i..K-1``.
-    The list stops early at the first cell whose tail is not positive;
-    ``underflow`` then holds that ``(cell, tail)``.
+    ``cond[i]`` is ``p_i / tail_i`` for the chain cells ``0 .. K-2``, where
+    ``tail_i`` is the suffix mass of cells ``i..K-1``.  It is a memoryview
+    of a read-only float64 array: 8 bytes a cell, and iterating it yields
+    Python floats without numpy scalar indexing.  It stops early at the
+    first cell whose tail is not positive; ``underflow`` then holds that
+    ``(cell, tail)``.
     """
 
-    cond: list[float]
+    cond: memoryview
     underflow: tuple[int, float] | None
 
 
@@ -269,7 +267,9 @@ def _chain_plan(pmf: Pmf) -> _ChainPlan:
         bad = np.flatnonzero(tails <= 0.0)
         stop = int(bad[0]) if bad.size else tails.size
         underflow = (stop, float(tails[stop])) if bad.size else None
-        plan = _ChainPlan((pmf.probs[:stop] / tails[:stop]).tolist(), underflow)
+        cond = pmf.probs[:stop] / tails[:stop]
+        cond.flags.writeable = False
+        plan = _ChainPlan(memoryview(cond), underflow)
         _PLAN_CACHE[pmf] = plan
     return plan
 

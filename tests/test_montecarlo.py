@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -106,22 +107,29 @@ class TestKsDistance:
 
 
 class TestRunClt:
-    def test_deterministic_across_runs_and_workers(self):
-        cfg1 = small_config()
-        cfg2 = small_config(workers=2)
-        [a] = run_clt(cfg1)
-        [b] = run_clt(cfg1)
-        [c] = run_clt(cfg2)
-        assert np.array_equal(a.z_samples, b.z_samples)
-        assert np.array_equal(a.z_samples, c.z_samples)
-        assert a.ks_distance == b.ks_distance == c.ks_distance
+    def test_deterministic_across_runs_and_workers(self, monkeypatch):
+        # 200 replicates are one chunk (no pool); 600 are three chunks, and with
+        # two CPUs reported a two-process pool starts even on a one-CPU host
+        pools = []
 
-    def test_worker_processes_do_not_change_results(self):
-        # 600 replicates make three chunks, so two workers start a pool
-        [a] = run_clt(small_config(replicates=600))
-        [b] = run_clt(small_config(replicates=600, workers=2))
-        assert np.array_equal(a.z_samples, b.z_samples)
-        assert a.mean_kl == b.mean_kl and a.mean_chi2 == b.mean_chi2
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+        for replicates in (200, 600):
+            cfg1 = small_config(replicates=replicates)
+            cfg2 = small_config(replicates=replicates, workers=2)
+            [a] = run_clt(cfg1)
+            [b] = run_clt(cfg1)
+            [c] = run_clt(cfg2)
+            assert np.array_equal(a.z_samples, b.z_samples)
+            assert np.array_equal(a.z_samples, c.z_samples)
+            assert a.ks_distance == b.ks_distance == c.ks_distance
+            assert a.mean_kl == c.mean_kl and a.mean_chi2 == c.mean_chi2
+        assert pools == [2]
 
     def test_samplers_both_run(self):
         for sampler in ("categorical", "multinomial"):

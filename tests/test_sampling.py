@@ -9,9 +9,8 @@ from scipy.stats import binom, chi2
 
 from entrokit.alphabet import FamilySpec, HARMONIC, build_family, validate_pmf
 from entrokit.sampling import (
-    _FIRST_BLOCK,
+    _BLOCK,
     _GOLDEN,
-    _MAX_BLOCK,
     _SCALAR_DRAWS,
     MAX_TOTAL,
     AliasTable,
@@ -99,14 +98,13 @@ class TestCounterRng:
         return [(_mix64(seed + i * _GOLDEN) >> 11) * 2.0**-53 for i in range(first, first + count)]
 
     def test_scalar_draws_cross_every_block_boundary(self):
-        draws = _SCALAR_DRAWS + sum(_FIRST_BLOCK << j for j in range(7)) + 100
+        draws = _SCALAR_DRAWS + 3 * _BLOCK + 100
         rng = CounterRng(0xFEEDFACE)
         assert [rng.uniform() for _ in range(draws)] == self._reference(0xFEEDFACE, 1, draws)
-        assert rng._block == _MAX_BLOCK
 
     def test_random_interleavings_match_the_counter_formula(self):
-        # runs of uniform() long enough to reach the largest block, broken by
-        # uniforms(k) calls that drop the block at arbitrary points
+        # runs of uniform() that cross the scalar start and block ends, broken
+        # by uniforms(k) calls that drop the block at arbitrary points
         picker = random.Random(17)
         for trial in range(40):
             seed = picker.getrandbits(64)
@@ -114,7 +112,7 @@ class TestCounterRng:
             got: list[float] = []
             while len(got) < 4000:
                 if picker.random() < 0.8:
-                    got.extend(rng.uniform() for _ in range(picker.randint(1, 300)))
+                    got.extend(rng.uniform() for _ in range(picker.randint(1, _BLOCK + 100)))
                 else:
                     got.extend(rng.uniforms(picker.randint(0, 40)).tolist())
             assert got == self._reference(seed, 1, len(got)), trial
@@ -276,7 +274,7 @@ class TestChainGolden:
 
     def test_underflowed_tail_raises_at_its_cell(self):
         pmf = build_family(FamilySpec(HARMONIC, 4))
-        _PLAN_CACHE[pmf] = _ChainPlan([0.25], (1, 0.0))
+        _PLAN_CACHE[pmf] = _ChainPlan(memoryview(np.array([0.25])), (1, 0.0))
         with pytest.raises(SamplingError, match="underflowed to 0.0 at cell 1 with"):
             sample_counts_multinomial(pmf, 10**6, 3)
 
