@@ -44,8 +44,8 @@ class PmfError(ValueError):
 
 
 def _fsum(values: np.ndarray) -> float:
-    """Exact (Shewchuk) summation of a float64 array."""
-    return math.fsum(values.tolist())
+    """Exact (Shewchuk) summation of a float64 array, read through its buffer."""
+    return math.fsum(values.data)
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,7 +167,10 @@ def validate_pmf(probs: Sequence[float] | Iterable[float]) -> Pmf:
     Entries must all be > 0 and sum to 1 within 1e-9; the vector is then
     divided by its exact sum so the stored Pmf meets the 1e-12 contract.
     """
-    arr = np.asarray(list(probs), dtype=np.float64)
+    try:
+        arr = np.asarray(list(probs), dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise PmfError(f"probability vector must hold numbers only: {exc}") from exc
     if arr.size == 0:
         raise PmfError("empty probability vector")
     if not np.all(np.isfinite(arr)):

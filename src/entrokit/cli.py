@@ -122,10 +122,11 @@ def _write_output(record: dict, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
+def _write_csv(path: str, rows: Sequence[dict]) -> None:
+    """One line per record row, headed by its keys; floats as repr, None as an empty field."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
+        writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
+        writer.writeheader()
         writer.writerows(rows)
 
 
@@ -175,6 +176,13 @@ def _parse_n_grid(raw: Any) -> tuple[int, ...]:
     raise ConfigError(f"cannot interpret n_grid value {raw!r}")
 
 
+def _convert(kind: type, name: str, value: Any) -> Any:
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be {kind.__name__}-valued, got {value!r}") from exc
+
+
 def _resolve_experiment(args: argparse.Namespace, want_mdp: bool) -> tuple[ExperimentConfig, dict]:
     """Merge config file and flags into an ExperimentConfig plus its canonical echo."""
     base = _load_config_file(args.config) if args.config else {}
@@ -205,9 +213,11 @@ def _resolve_experiment(args: argparse.Namespace, want_mdp: bool) -> tuple[Exper
     if missing:
         raise ConfigError(f"missing required options: {', '.join(missing)} (no silent defaults)")
 
-    delta = 1.0 if delta is None else float(delta)
+    reps = _convert(int, "reps", reps)
+    seed = _convert(int, "seed", seed)
+    delta = 1.0 if delta is None else _convert(float, "delta", delta)
     sampler = sampler or "multinomial"
-    workers = int(workers) if workers is not None else 1
+    workers = 1 if workers is None else _convert(int, "workers", workers)
     n_grid = _parse_n_grid(n_grid_raw)
     rule = parse_k_rule(str(rule_text))
 
@@ -216,9 +226,9 @@ def _resolve_experiment(args: argparse.Namespace, want_mdp: bool) -> tuple[Exper
         "family": str(family),
         "K_rule": str(rule_text),
         "n_grid": list(n_grid),
-        "reps": int(reps),
-        "seed": int(seed),
-        "delta": float(delta),
+        "reps": reps,
+        "seed": seed,
+        "delta": delta,
         "sampler": str(sampler),
     }
     if want_mdp:
@@ -232,21 +242,24 @@ def _resolve_experiment(args: argparse.Namespace, want_mdp: bool) -> tuple[Exper
         ]
         if missing_mdp:
             raise ConfigError(f"missing required options: {', '.join(missing_mdp)}")
+        rho = _convert(float, "mdp_rho", rho)
+        eps = _convert(float, "mdp_eps", eps)
+        r = _convert(float, "mdp_r", r)
         try:
-            mdp = MdpSchedule(rho=float(rho), epsilon=float(eps), r=float(r))
+            mdp = MdpSchedule(rho=rho, epsilon=eps, r=r)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        echo["mdp_rho"] = float(rho)
-        echo["mdp_eps"] = float(eps)
-        echo["mdp_r"] = float(r)
+        echo["mdp_rho"] = rho
+        echo["mdp_eps"] = eps
+        echo["mdp_r"] = r
 
     try:
         config = ExperimentConfig(
             family=str(family),
             k_rule=rule,
             n_grid=n_grid,
-            replicates=int(reps),
-            master_seed=int(seed),
+            replicates=reps,
+            master_seed=seed,
             delta=delta,
             sampler=str(sampler),
             mdp=mdp,
@@ -340,11 +353,11 @@ def _cmd_clt(args: argparse.Namespace) -> int:
     _write_output(record, args.out)
     if args.csv:
         rows = [
-            (s.n, s.size, j, repr(float(z)))
-            for s in summaries
-            for j, z in enumerate(s.z_samples)
+            {"n": e["n"], "K": e["K"], "rank": j, "z": z}
+            for e in per_n
+            for j, z in enumerate(e["z_samples"])
         ]
-        _write_csv(args.csv, ("n", "K", "rank", "z"), rows)
+        _write_csv(args.csv, rows)
     return EXIT_OK
 
 
@@ -374,11 +387,7 @@ def _cmd_be(args: argparse.Namespace) -> int:
     }
     _write_output(record, args.out)
     if args.csv:
-        rows = [
-            (r.n, r.size, repr(r.ks_distance), repr(r.bound_shape), repr(r.ratio))
-            for r in sweep.rows
-        ]
-        _write_csv(args.csv, ("n", "K", "ks_distance", "bound_shape", "ratio"), rows)
+        _write_csv(args.csv, record["results"]["rows"])
     return EXIT_OK
 
 
@@ -410,37 +419,7 @@ def _cmd_mdp(args: argparse.Namespace) -> int:
     }
     _write_output(record, args.out)
     if args.csv:
-        rows = [
-            (
-                c.n,
-                c.size,
-                repr(c.scale),
-                c.replicates_used,
-                c.exceedances,
-                "" if c.p_hat is None else repr(c.p_hat),
-                "" if c.scaled_log_prob is None else repr(c.scaled_log_prob),
-                repr(c.target),
-                repr(c.condition_value),
-                c.flag,
-            )
-            for c in cells
-        ]
-        _write_csv(
-            args.csv,
-            (
-                "n",
-                "K",
-                "b_n",
-                "replicates_used",
-                "exceedances",
-                "p_hat",
-                "scaled_log_prob",
-                "target",
-                "condition_value",
-                "flag",
-            ),
-            rows,
-        )
+        _write_csv(args.csv, record["results"]["cells"])
     return EXIT_OK
 
 

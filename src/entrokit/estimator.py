@@ -22,16 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alphabet import Pmf
-from .exact import DegenerateVarianceError, PopulationSummary, population_summary
+from .alphabet import Pmf, _fsum
+from .exact import log_law
 from .sampling import CountVector
 
 # An analytically nonnegative KL sum that rounds slightly below zero is noise.
 _KL_CLAMP_TOL = 1e-12
-
-
-def _fsum(values: np.ndarray) -> float:
-    return math.fsum(values.tolist())
 
 
 @dataclass(frozen=True)
@@ -55,28 +51,22 @@ def empirical_pmf(counts: CountVector) -> np.ndarray:
 
 
 def plugin_entropy(counts: CountVector) -> float:
-    """Entropy of the empirical distribution, ``-sum phat ln phat``, in nats."""
+    """Entropy of the empirical distribution, ``-sum phat ln phat``, in nats.
+
+    The estimator itself, for counts without a known true Pmf; given one,
+    :func:`decompose` returns the same value with its error terms.
+    """
     phat = empirical_pmf(counts)
     phat = phat[phat > 0.0]
     return -_fsum(phat * np.log(phat))
 
 
-def standardized_stat(counts: CountVector, pop: PopulationSummary) -> float:
-    """``sqrt(n) (plugin_entropy - H) / sigma``; errors if sigma is zero."""
-    if pop.degenerate:
-        raise DegenerateVarianceError("standardized statistic undefined: sigma is zero")
-    return math.sqrt(counts.total) * (plugin_entropy(counts) - pop.entropy) / pop.sigma
-
-
-def decompose(
-    counts: CountVector,
-    pmf: Pmf,
-    pop: PopulationSummary | None = None,
-) -> DecompositionReport:
+def decompose(counts: CountVector, pmf: Pmf) -> DecompositionReport:
     """Exact error decomposition of one replicate against the true Pmf.
 
-    ``pop`` may carry a precomputed :func:`population_summary` to avoid
-    recomputing it in replicate loops; it must describe ``pmf``.
+    ``ln p``, H and sigma come from the Pmf's cached
+    :func:`~entrokit.exact.log_law`, so replicate loops take no log of
+    the true probabilities.
 
     The KL term is accumulated as ``phat (ln phat - ln p)`` over nonzero
     cells (never through the ratio), which avoids 0/0 and cancellation
@@ -87,10 +77,10 @@ def decompose(
         raise ValueError(
             f"counts length {counts.size} does not match alphabet size {pmf.size}"
         )
-    if pop is None:
-        pop = population_summary(pmf)
+    law = log_law(pmf)
+    pop = law.summary
     p = pmf.probs
-    logp = np.log(p)
+    logp = law.logp
     phat = empirical_pmf(counts)
 
     nonzero = phat > 0.0

@@ -8,6 +8,10 @@ Berry-Esseen bound shape, the moderate-deviation summability value, and
 the Hoeffding tail bound.  Sums use exact (Shewchuk) float summation;
 the moderate-deviation value is evaluated in log space.
 
+Every functional reads one :class:`LogLaw` per Pmf: ``ln p``, the
+centered ``ln p + H`` and the population summary, computed in a single
+pass on first use and cached for as long as the Pmf lives.
+
 Unknown absolute constants in the bound shapes are fixed to 1: the
 Monte Carlo layer only ever checks shapes (ratio boundedness and
 monotone trends), never constants.  All entropies are in nats.
@@ -18,10 +22,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from .alphabet import Pmf
+from .alphabet import Pmf, _fsum
 
 # Variance this close to zero is rounding noise from a constant log-probability;
 # clamp to exactly 0 and treat the distribution as degenerate.
@@ -30,10 +35,6 @@ _DEGENERATE_SIGMA2_TOL = 1e-14
 
 class DegenerateVarianceError(ValueError):
     """An operation that divides by sigma was given a zero-variance Pmf."""
-
-
-def _fsum(values: np.ndarray) -> float:
-    return math.fsum(values.tolist())
 
 
 @dataclass(frozen=True)
@@ -87,14 +88,24 @@ def _require_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be > 0, got {value}")
 
 
-def entropy(pmf: Pmf) -> float:
-    """Shannon entropy ``-sum p ln p`` in nats."""
-    p = pmf.probs
-    return -_fsum(p * np.log(p))
+@dataclass(frozen=True, eq=False)
+class LogLaw:
+    """The law of ``T = -ln p(X) - H`` for one Pmf.
+
+    ``logp`` and ``centered = logp + H`` are read-only float64 vectors;
+    ``centered`` is ``-T`` symbol by symbol.
+    """
+
+    logp: np.ndarray
+    centered: np.ndarray
+    summary: PopulationSummary
 
 
-def population_summary(pmf: Pmf) -> PopulationSummary:
-    """Entropy plus the variance of ``ln p(X)``.
+_LAW_CACHE: "WeakKeyDictionary[Pmf, LogLaw]" = WeakKeyDictionary()
+
+
+def log_law(pmf: Pmf) -> LogLaw:
+    """The cached :class:`LogLaw` of ``pmf``, built by one log pass on first use.
 
     The variance is evaluated in centered form ``sum p (ln p + H)^2``,
     algebraically equal to ``sum p ln^2 p - (sum p ln p)^2`` but free of
@@ -102,23 +113,40 @@ def population_summary(pmf: Pmf) -> PopulationSummary:
     below 1e-14 are rounding residue of a constant log-probability and
     clamp to exactly 0 (degenerate).
     """
-    p = pmf.probs
-    logp = np.log(p)
-    h = -_fsum(p * logp)
-    centered = logp + h
-    sigma2 = _fsum(p * centered * centered)
-    if sigma2 < _DEGENERATE_SIGMA2_TOL:
-        sigma2 = 0.0
-    return PopulationSummary(entropy=h, sigma2=sigma2, sigma=math.sqrt(sigma2), size=pmf.size)
+    law = _LAW_CACHE.get(pmf)
+    if law is None:
+        p = pmf.probs
+        logp = np.log(p)
+        h = -_fsum(p * logp)
+        centered = logp + h
+        sigma2 = _fsum(p * centered * centered)
+        if sigma2 < _DEGENERATE_SIGMA2_TOL:
+            sigma2 = 0.0
+        logp.flags.writeable = False
+        centered.flags.writeable = False
+        summary = PopulationSummary(entropy=h, sigma2=sigma2, sigma=math.sqrt(sigma2), size=pmf.size)
+        law = LogLaw(logp, centered, summary)
+        _LAW_CACHE[pmf] = law
+    return law
 
 
-def _require_sigma(pmf: Pmf) -> PopulationSummary:
-    pop = population_summary(pmf)
-    if pop.degenerate:
+def entropy(pmf: Pmf) -> float:
+    """Shannon entropy ``-sum p ln p`` in nats."""
+    return log_law(pmf).summary.entropy
+
+
+def population_summary(pmf: Pmf) -> PopulationSummary:
+    """Entropy plus the variance of ``ln p(X)`` (see :func:`log_law`)."""
+    return log_law(pmf).summary
+
+
+def _require_sigma(pmf: Pmf) -> LogLaw:
+    law = log_law(pmf)
+    if law.summary.degenerate:
         raise DegenerateVarianceError(
             "degenerate variance: ln p(X) is constant (uniform distribution)"
         )
-    return pop
+    return law
 
 
 def abs_central_moment(pmf: Pmf, delta: float) -> float:
@@ -129,11 +157,8 @@ def abs_central_moment(pmf: Pmf, delta: float) -> float:
     variance ``sigma^2`` exactly.
     """
     delta = _check_delta(delta)
-    p = pmf.probs
-    logp = np.log(p)
-    h = -_fsum(p * logp)
-    t = np.abs(logp + h)
-    return _fsum(p * t ** (2.0 + delta))
+    t = np.abs(log_law(pmf).centered)
+    return _fsum(pmf.probs * t ** (2.0 + delta))
 
 
 def split_moment_bound(pmf: Pmf, delta: float) -> float:
@@ -144,10 +169,9 @@ def split_moment_bound(pmf: Pmf, delta: float) -> float:
     sandwich ``abs_central_moment <= 2^{1+delta} * split_moment_bound``.
     """
     delta = _check_delta(delta)
-    p = pmf.probs
-    logp = np.log(p)
-    h = -_fsum(p * logp)
-    return _fsum(p * np.abs(logp) ** (2.0 + delta)) + h ** (2.0 + delta)
+    law = log_law(pmf)
+    h = law.summary.entropy
+    return _fsum(pmf.probs * np.abs(law.logp) ** (2.0 + delta)) + h ** (2.0 + delta)
 
 
 def exp_moment(pmf: Pmf, delta: float) -> float:
@@ -156,11 +180,10 @@ def exp_moment(pmf: Pmf, delta: float) -> float:
     Requires ``sigma > 0``; may overflow to ``inf`` for large ``delta``.
     """
     _require_positive("delta", delta)
-    pop = _require_sigma(pmf)
-    p = pmf.probs
-    t = np.abs(np.log(p) + pop.entropy)
+    law = _require_sigma(pmf)
+    t = np.abs(law.centered)
     with np.errstate(over="ignore"):
-        return _fsum(p * np.exp(delta * t / pop.sigma))
+        return _fsum(pmf.probs * np.exp(delta * t / law.summary.sigma))
 
 
 def exp_moment_envelope(pmf: Pmf, delta: float) -> float:
@@ -172,7 +195,7 @@ def exp_moment_envelope(pmf: Pmf, delta: float) -> float:
     is still returned.
     """
     _require_positive("delta", delta)
-    pop = _require_sigma(pmf)
+    pop = _require_sigma(pmf).summary
     ratio = delta / pop.sigma
     if ratio >= 1.0:
         warnings.warn(
@@ -197,9 +220,10 @@ def lindeberg_residual(pmf: Pmf, n: int, epsilon: float) -> float:
         raise ValueError(f"sample size must be >= 1, got {n}")
     if epsilon < 0.0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    pop = _require_sigma(pmf)
+    law = _require_sigma(pmf)
+    pop = law.summary
     p = pmf.probs
-    centered = np.log(p) + pop.entropy
+    centered = law.centered
     threshold = epsilon * math.sqrt(n) * pop.sigma
     mask = np.abs(centered) > threshold
     if not np.any(mask):
@@ -219,7 +243,7 @@ def berry_esseen_shape(pmf: Pmf, n: int, delta: float) -> float:
     delta = _check_delta(delta)
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
-    pop = _require_sigma(pmf)
+    pop = _require_sigma(pmf).summary
     moment = abs_central_moment(pmf, delta)
     term_clt = moment / (float(n) ** (delta / 2.0) * pop.sigma ** (2.0 + delta))
     term_alphabet = math.sqrt(pmf.size / (math.sqrt(n) * pop.sigma))
@@ -235,7 +259,7 @@ def mdp_condition(pmf: Pmf, n: int, schedule: MdpSchedule) -> float:
     """
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
-    pop = _require_sigma(pmf)
+    pop = _require_sigma(pmf).summary
     b = schedule.scale(n)
     exponents = -2.0 * schedule.epsilon * math.sqrt(n) * b * pop.sigma * pmf.probs**2
     peak = float(exponents.max())

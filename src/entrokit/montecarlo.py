@@ -24,7 +24,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -42,6 +42,7 @@ from .exact import (
     MdpSchedule,
     PopulationSummary,
     berry_esseen_shape,
+    entropy,
     mdp_condition,
     normal_cdf,
     population_summary,
@@ -247,17 +248,18 @@ def ks_distance(sorted_samples: Sequence[float] | np.ndarray) -> float:
 
 
 def _replicate_chunk(
-    pmf: Pmf, n: int, pop: PopulationSummary, sampler: str, seeds: list[int]
+    pmf: Pmf, n: int, sampler: str, seeds: list[int]
 ) -> tuple[list[float], list[float], list[float]]:
     """Worker body: simulate a block of replicates and return (z, kl, chi2) lists."""
     sample = sample_counts_categorical if sampler == "categorical" else sample_counts_multinomial
+    h = entropy(pmf)
     z_out: list[float] = []
     kl_out: list[float] = []
     chi2_out: list[float] = []
     for seed in seeds:
         counts = sample(pmf, n, seed)
-        rep = decompose(counts, pmf, pop)
-        gap = rep.plugin_entropy - pop.entropy
+        rep = decompose(counts, pmf)
+        gap = rep.plugin_entropy - h
         if abs(gap - (rep.linear_term - rep.kl_term)) > _IDENTITY_TOL:
             raise InvariantViolation(
                 f"decomposition identity failed at n={n}, seed={seed}: "
@@ -280,17 +282,12 @@ def _pool_size(workers: int, chunks: int) -> int:
 
 
 def _simulate(
-    pmf: Pmf,
-    n: int,
-    pop: PopulationSummary,
-    seeds: np.ndarray,
-    sampler: str,
-    workers: int,
+    pmf: Pmf, n: int, seeds: np.ndarray, sampler: str, workers: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run one replicate block, in order, optionally across processes."""
     seed_list = seeds.tolist()
     chunks = [seed_list[lo : lo + _WORKER_CHUNK] for lo in range(0, len(seed_list), _WORKER_CHUNK)]
-    body = partial(_replicate_chunk, pmf, n, pop, sampler)
+    body = partial(_replicate_chunk, pmf, n, sampler)
     processes = _pool_size(workers, len(chunks))
     if processes <= 1:
         parts = [body(c) for c in chunks]
@@ -318,46 +315,45 @@ def _grid_point(config: ExperimentConfig, n: int) -> tuple[Pmf, PopulationSummar
     return pmf, pop
 
 
+def _clt_points(config: ExperimentConfig) -> Iterator[tuple[Pmf, EcdfSummary]]:
+    """Each grid point's Pmf with its standardized-statistic summary, in grid order."""
+    for gi, n in enumerate(config.n_grid):
+        pmf, pop = _grid_point(config, n)
+        seeds = derive_stream_seeds(config.master_seed, gi * _GRID_STRIDE, config.replicates)
+        z, kl, chi2 = _simulate(pmf, n, seeds, config.sampler, config.workers)
+        z_sorted = np.sort(z)
+        z_sorted.flags.writeable = False
+        m = len(z_sorted)
+        mean = float(np.mean(z))
+        var = float(np.sum((z - mean) ** 2) / (m - 1)) if m > 1 else 0.0
+        yield pmf, EcdfSummary(
+            n=n,
+            size=pmf.size,
+            replicates=m,
+            entropy=pop.entropy,
+            sigma=pop.sigma,
+            z_samples=z_sorted,
+            ks_distance=ks_distance(z_sorted),
+            z_mean=mean,
+            z_var=var,
+            mean_kl=float(np.mean(kl)),
+            mean_chi2=float(np.mean(chi2)),
+        )
+
+
 def run_clt(config: ExperimentConfig) -> list[EcdfSummary]:
     """Standardized-statistic experiment: one EcdfSummary per grid point.
 
     Deterministic for a fixed master seed; replicate j at grid point g
     uses stream index ``g * 2^32 + j``.
     """
-    summaries = []
-    for gi, n in enumerate(config.n_grid):
-        pmf, pop = _grid_point(config, n)
-        seeds = derive_stream_seeds(config.master_seed, gi * _GRID_STRIDE, config.replicates)
-        z, kl, chi2 = _simulate(pmf, n, pop, seeds, config.sampler, config.workers)
-        z_sorted = np.sort(z)
-        z_sorted.flags.writeable = False
-        m = len(z_sorted)
-        mean = float(np.mean(z))
-        var = float(np.sum((z - mean) ** 2) / (m - 1)) if m > 1 else 0.0
-        summaries.append(
-            EcdfSummary(
-                n=n,
-                size=pmf.size,
-                replicates=m,
-                entropy=pop.entropy,
-                sigma=pop.sigma,
-                z_samples=z_sorted,
-                ks_distance=ks_distance(z_sorted),
-                z_mean=mean,
-                z_var=var,
-                mean_kl=float(np.mean(kl)),
-                mean_chi2=float(np.mean(chi2)),
-            )
-        )
-    return summaries
+    return [summary for _, summary in _clt_points(config)]
 
 
 def run_be_sweep(config: ExperimentConfig) -> BeSweepResult:
     """KS distance against the bound shape along the grid, with monotonicity report."""
-    summaries = run_clt(config)
     rows = []
-    for summary in summaries:
-        pmf = build_family(FamilySpec(config.family, summary.size))
+    for pmf, summary in _clt_points(config):
         shape = berry_esseen_shape(pmf, summary.n, config.delta)
         rows.append(
             BeSweepRow(
@@ -398,7 +394,7 @@ def run_mdp(config: ExperimentConfig) -> list[MdpCell]:
     schedule = config.mdp
     cells = []
     for gi, n in enumerate(config.n_grid):
-        pmf, pop = _grid_point(config, n)
+        pmf, _ = _grid_point(config, n)
         b = schedule.scale(n)
         threshold = schedule.r * b
         target = -0.5 * schedule.r**2
@@ -408,44 +404,14 @@ def run_mdp(config: ExperimentConfig) -> list[MdpCell]:
         p_gauss = 2.0 * (1.0 - normal_cdf(threshold))
         needed = config.replicates if p_gauss <= 0.0 else math.ceil(20.0 / p_gauss)
         if p_gauss <= 0.0 or needed > config.mdp_max_replicates:
-            cells.append(
-                MdpCell(
-                    n=n,
-                    size=pmf.size,
-                    scale=b,
-                    threshold=threshold,
-                    replicates_used=0,
-                    exceedances=0,
-                    p_hat=None,
-                    scaled_log_prob=None,
-                    target=target,
-                    condition_value=condition,
-                    flag="infeasible",
-                )
-            )
-            continue
-        m_used = max(config.replicates, needed)
-        seeds = derive_stream_seeds(config.master_seed, gi * _GRID_STRIDE, m_used)
-        z, _, _ = _simulate(pmf, n, pop, seeds, config.sampler, config.workers)
-        exceedances = int(np.sum(np.abs(z) > threshold))
-        if exceedances == 0:
-            cells.append(
-                MdpCell(
-                    n=n,
-                    size=pmf.size,
-                    scale=b,
-                    threshold=threshold,
-                    replicates_used=m_used,
-                    exceedances=0,
-                    p_hat=None,
-                    scaled_log_prob=None,
-                    target=target,
-                    condition_value=condition,
-                    flag="no-exceedances",
-                )
-            )
-            continue
-        p_hat = exceedances / m_used
+            m_used, exceedances, flag = 0, 0, "infeasible"
+        else:
+            m_used = max(config.replicates, needed)
+            seeds = derive_stream_seeds(config.master_seed, gi * _GRID_STRIDE, m_used)
+            z, _, _ = _simulate(pmf, n, seeds, config.sampler, config.workers)
+            exceedances = int(np.sum(np.abs(z) > threshold))
+            flag = "ok" if exceedances else "no-exceedances"
+        p_hat = exceedances / m_used if exceedances else None
         cells.append(
             MdpCell(
                 n=n,
@@ -455,10 +421,10 @@ def run_mdp(config: ExperimentConfig) -> list[MdpCell]:
                 replicates_used=m_used,
                 exceedances=exceedances,
                 p_hat=p_hat,
-                scaled_log_prob=math.log(p_hat) / b**2,
+                scaled_log_prob=None if p_hat is None else math.log(p_hat) / b**2,
                 target=target,
                 condition_value=condition,
-                flag="ok",
+                flag=flag,
             )
         )
     return cells

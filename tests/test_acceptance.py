@@ -7,14 +7,17 @@ throughout, so every number below is reproducible bit for bit.
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import chi2
 
+import entrokit
 from entrokit.alphabet import (
     EXP_GEOMETRIC,
     HARMONIC,
@@ -82,7 +85,7 @@ def clt_replicates(clt_experiment):
     reports = []
     for seed in seeds:
         counts = sample_counts_multinomial(pmf, summary.n, int(seed))
-        reports.append(decompose(counts, pmf, pop))
+        reports.append(decompose(counts, pmf))
     return pmf, pop, summary.n, reports
 
 
@@ -311,6 +314,9 @@ def test_criterion_11_worker_count_determinism(tmp_path):
         "--seed",
         str(MASTER_SEED),
     ]
+    # The CLI child imports the same entrokit as this process, installed or not.
+    src = str(Path(entrokit.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     outputs = []
     for workers in (1, 8):
         out = tmp_path / f"workers{workers}.json"
@@ -319,6 +325,7 @@ def test_criterion_11_worker_count_determinism(tmp_path):
             capture_output=True,
             text=True,
             timeout=300,
+            env=env,
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append(out.read_bytes())

@@ -1,7 +1,9 @@
 import csv
+import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 from entrokit.cli import EXIT_CONFIG, EXIT_DEGENERATE, EXIT_OK, canonical_json, main
@@ -74,6 +76,25 @@ class TestDescribe:
     def test_parse_failure_is_config_error(self, capsys):
         assert run_cli(["describe", "--family", "harmonic"]) == EXIT_CONFIG
         assert "error" in capsys.readouterr().err
+
+    def test_wrongly_typed_custom_entry_is_config_error(self, tmp_path, capsys):
+        probs = tmp_path / "f.json"
+        probs.write_text('[{"p": 0.5}, 0.5]')
+        assert run_cli(["describe", "--family", f"custom:{probs}"]) == EXIT_CONFIG
+        assert "must hold numbers" in capsys.readouterr().err
+
+    def test_one_log_pass_over_the_pmf(self, tmp_path, monkeypatch):
+        real_log = np.log
+        sizes = []
+
+        def counting_log(x, *args, **kwargs):
+            sizes.append(np.size(x))
+            return real_log(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "log", counting_log)
+        out = tmp_path / "h.json"
+        assert run_cli(["describe", "--family", "harmonic:1000", "--out", str(out)]) == EXIT_OK
+        assert sizes.count(1000) == 1
 
 
 class TestExperimentValidation:
@@ -199,6 +220,15 @@ class TestCltCommand:
         cfg_path.write_text(json.dumps({"family": "harmonic", "n_reps": 5}))
         assert run_cli(["clt", "--config", str(cfg_path)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("key, value", [("reps", [150]), ("delta", {})])
+    def test_wrongly_typed_config_value_is_config_error(self, tmp_path, capsys, key, value):
+        config = {"family": "harmonic", "K_rule": "fixed:8", "n_grid": [500], "reps": 150, "seed": 77}
+        config[key] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        assert run_cli(["clt", "--config", str(cfg_path)]) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+
 
 class TestBeCommand:
     def test_one_csv_row_per_grid_point(self, tmp_path):
@@ -264,6 +294,44 @@ class TestMdpCommand:
         assert [c["flag"] for c in cells] == ["ok", "ok"]
         assert all(c["scaled_log_prob"] < 0.0 for c in cells)
 
+    def test_csv_columns_are_the_json_cell_keys(self, tmp_path):
+        out = tmp_path / "mdp.json"
+        csv_path = tmp_path / "mdp.csv"
+        code = run_cli(
+            [
+                "mdp",
+                "--family",
+                "harmonic",
+                "--K-rule",
+                "fixed:4",
+                "--n-grid",
+                "1000",
+                "--reps",
+                "100",
+                "--seed",
+                "9",
+                "--mdp-rho",
+                "0.05",
+                "--mdp-eps",
+                "1.0",
+                "--mdp-r",
+                "5.0",
+                "--out",
+                str(out),
+                "--csv",
+                str(csv_path),
+            ]
+        )
+        assert code == EXIT_OK
+        [cell] = json.loads(out.read_text())["results"]["cells"]
+        assert cell["flag"] == "infeasible"
+        with open(csv_path, newline="") as handle:
+            header, row = list(csv.reader(handle))
+        assert header == list(cell)
+        assert "threshold" in header
+        assert row[header.index("p_hat")] == ""
+        assert row[header.index("threshold")] == repr(cell["threshold"])
+
     def test_missing_mdp_flags(self, capsys):
         code = run_cli(
             [
@@ -291,3 +359,36 @@ def test_stdout_default_and_wall_time_on_stderr(capsys):
     assert record["command"] == "describe"
     assert "wall time" in captured.err
     assert "wall time" not in captured.out
+
+
+# sha256 of CLI outputs, recorded before the CSV exports were derived from
+# the JSON record and before the functionals shared one cached log pass;
+# they pin the be payload and the clt and be exports byte for byte.
+BE_ARGS = [
+    "be",
+    "--family",
+    "harmonic",
+    "--K-rule",
+    "pow:0.2",
+    "--n-grid",
+    "500,1000,2000",
+    "--reps",
+    "150",
+    "--seed",
+    "3",
+]
+GOLDEN_OUTPUTS = (
+    (CLT_ARGS, "87260216d6ff34ac249120f715cab20c19bea3ca123721638266c2f713585f33",
+     "4162e44fe71ac781f517b09d67b69658a405ce9d73fd244fa4591de0af9988e9"),
+    (BE_ARGS, "b7d1d58d4406473812eea3782340b97429924a58d0421efcc53746c07c8272e7",
+     "46e55a44532b0a3ffcb7efb9bb6b348748e248178e0c912ca24d8ebfed674d9f"),
+)
+
+
+@pytest.mark.parametrize("args, json_sha, csv_sha", GOLDEN_OUTPUTS, ids=("clt", "be"))
+def test_payload_and_csv_match_recorded_hashes(tmp_path, args, json_sha, csv_sha):
+    out = tmp_path / "out.json"
+    csv_path = tmp_path / "out.csv"
+    assert run_cli(args + ["--out", str(out), "--csv", str(csv_path)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == json_sha
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == csv_sha

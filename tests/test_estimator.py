@@ -4,13 +4,8 @@ import numpy as np
 import pytest
 
 from entrokit.alphabet import FamilySpec, HARMONIC, UNIFORM, build_family, validate_pmf
-from entrokit.estimator import (
-    decompose,
-    empirical_pmf,
-    plugin_entropy,
-    standardized_stat,
-)
-from entrokit.exact import DegenerateVarianceError, population_summary
+from entrokit.estimator import decompose, empirical_pmf, plugin_entropy
+from entrokit.exact import population_summary
 from entrokit.sampling import CountVector, SeedSpec, derive_stream_seed, sample_counts_multinomial
 
 from oracles import mp_entropy, mp_sigma2, random_pmf
@@ -101,23 +96,18 @@ class TestDecompose:
         rep = decompose(counts, pmf)
         direct = math.sqrt(4.0) * (plugin_entropy(counts) - pop.entropy) / pop.sigma
         assert rep.standardized == pytest.approx(direct, abs=1e-15)
-        assert standardized_stat(counts, pop) == pytest.approx(direct, abs=1e-15)
 
     def test_standardized_against_high_precision(self):
         pmf = validate_pmf((0.25, 0.75))
         h = mp_entropy(pmf.probs)
         sigma = math.sqrt(mp_sigma2(pmf.probs))
         expected = 2.0 * (plugin_entropy(cv([3, 1])) - h) / sigma
-        assert standardized_stat(cv([3, 1]), population_summary(pmf)) == pytest.approx(
-            expected, rel=1e-12
-        )
+        assert decompose(cv([3, 1]), pmf).standardized == pytest.approx(expected, rel=1e-12)
 
     def test_degenerate_sigma_flags_absence(self):
         pmf = build_family(FamilySpec(UNIFORM, 4))
         rep = decompose(cv([1, 2, 0, 1]), pmf)
         assert rep.standardized is None
-        with pytest.raises(DegenerateVarianceError):
-            standardized_stat(cv([1, 2, 0, 1]), population_summary(pmf))
 
     def test_length_mismatch(self):
         pmf = validate_pmf((0.5, 0.5))
@@ -128,9 +118,8 @@ class TestDecompose:
 class TestStandardizedScaling:
     def test_quadrupling_n_doubles_z(self):
         pmf = validate_pmf((0.25, 0.75))
-        pop = population_summary(pmf)
-        z_small = standardized_stat(cv([3, 1]), pop)
-        z_large = standardized_stat(cv([12, 4]), pop)
+        z_small = decompose(cv([3, 1]), pmf).standardized
+        z_large = decompose(cv([12, 4]), pmf).standardized
         assert z_large == pytest.approx(2.0 * z_small, rel=1e-14)
 
 
@@ -143,7 +132,7 @@ def replicated():
     chi2s = np.empty(reps)
     for j in range(reps):
         counts = sample_counts_multinomial(pmf, n, derive_stream_seed(SeedSpec(606, j)))
-        rep = decompose(counts, pmf, pop)
+        rep = decompose(counts, pmf)
         plugins[j] = rep.plugin_entropy
         chi2s[j] = rep.chi2_term
     return pmf, pop, n, plugins, chi2s

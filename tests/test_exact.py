@@ -1,4 +1,6 @@
+import gc
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +14,9 @@ from entrokit.alphabet import (
     build_family,
     validate_pmf,
 )
+from entrokit.estimator import decompose
 from entrokit.exact import (
+    _LAW_CACHE,
     DegenerateVarianceError,
     MdpSchedule,
     abs_central_moment,
@@ -22,11 +26,14 @@ from entrokit.exact import (
     exp_moment_envelope,
     hoeffding_tail,
     lindeberg_residual,
+    log_law,
     mdp_condition,
     normal_cdf,
     population_summary,
     split_moment_bound,
 )
+
+from entrokit.sampling import derive_stream_seeds, sample_counts_multinomial
 
 from oracles import (
     mp_abs_central_moment,
@@ -50,6 +57,53 @@ def dyadic():
 def random_pmfs():
     rng = np.random.default_rng(20240811)
     return [validate_pmf(random_pmf(rng, int(rng.integers(2, 51)))) for _ in range(100)]
+
+
+class TestLogLaw:
+    def test_one_log_pass_serves_every_functional_and_decompose(self, monkeypatch):
+        pmf = build_family(FamilySpec(HARMONIC, 1000))
+        real_log = np.log
+        passes = []
+
+        def counting_log(x, *args, **kwargs):
+            if x is pmf.probs:
+                passes.append(x.size)
+            return real_log(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "log", counting_log)
+        pop = population_summary(pmf)
+        assert entropy(pmf) == pop.entropy
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for fn in (abs_central_moment, split_moment_bound, exp_moment, exp_moment_envelope):
+                fn(pmf, 1.0)
+        berry_esseen_shape(pmf, 10**6, 1.0)
+        lindeberg_residual(pmf, 10**6, 0.01)
+        mdp_condition(pmf, 10**6, MdpSchedule(rho=0.2, epsilon=1.0, r=0.5))
+        for seed in derive_stream_seeds(11, 0, 20):
+            decompose(sample_counts_multinomial(pmf, 5000, int(seed)), pmf)
+        assert passes == [1000]
+        assert log_law(pmf).summary is pop
+
+    def test_arrays_are_read_only_and_consistent(self):
+        pmf = validate_pmf((0.5, 0.25, 0.25))
+        law = log_law(pmf)
+        assert law is log_law(pmf)
+        for arr in (law.logp, law.centered):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        assert law.logp.tolist() == np.log(pmf.probs).tolist()
+        assert law.centered.tolist() == (law.logp + law.summary.entropy).tolist()
+
+    def test_cache_entry_dies_with_its_pmf(self):
+        pmf = build_family(FamilySpec(HARMONIC, 50))
+        log_law(pmf)
+        assert pmf in _LAW_CACHE
+        before = len(_LAW_CACHE)
+        del pmf
+        gc.collect()
+        assert len(_LAW_CACHE) == before - 1
 
 
 class TestEntropy:
