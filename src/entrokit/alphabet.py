@@ -37,15 +37,65 @@ FAMILY_KINDS = (HARMONIC, EXP_GEOMETRIC, LOG_HARMONIC, UNIFORM, CUSTOM)
 # inputs may drift up to _INPUT_SUM_TOL before renormalization.
 _CONSTRUCTED_SUM_TOL = 1e-12
 _INPUT_SUM_TOL = 1e-9
+# Entry types validate_pmf accepts in a sequence (bool is refused apart).
+_NUMBER_TYPES = (int, float, np.integer, np.floating)
 
 
 class PmfError(ValueError):
     """A probability vector violates the full-support/normalization contract."""
 
 
+# _fsum: arrays shorter than _FSUM_MIN_SIZE go to math.fsum, which is faster
+# there; longer ones are bucketed in blocks of _FSUM_BLOCK values, whose
+# temporaries stay under 0.5 MB.  Below _FSUM_MAX_ABS, fewer than 2^60 terms
+# cannot bring any partial sum near overflow.
+_FSUM_MIN_SIZE = 2048
+_FSUM_BLOCK = 1 << 14
+_FSUM_MAX_ABS = 2.0**960
+# frexp writes a float64 as M * 2^(e-53) with e >= -1073: a multiple of 2^-_FSUM_UNIT.
+_FSUM_UNIT = 1126
+
+
 def _fsum(values: np.ndarray) -> float:
-    """Exact (Shewchuk) summation of a float64 array, read through its buffer."""
-    return math.fsum(values.data)
+    """Exactly rounded sum of a float64 array: the float ``math.fsum`` returns.
+
+    Arrays of at least ``_FSUM_MIN_SIZE`` finite values below 2^960 in
+    magnitude are summed exactly with integers, a block at a time:
+    ``np.frexp`` writes each value as ``M * 2^(e-53)`` with an integer
+    ``|M| < 2^53``; ``M`` is split into a high part ``floor(M / 2^26)``
+    and a low part in ``[0, 2^26)``; ``np.bincount`` sums each part per
+    exponent ``e``, and each such float64 sum is exact because a block's
+    parts add up to at most 2^41 in magnitude.  The bucket sums are
+    combined as Python ints in units of 2^-1126, and one correctly
+    rounded int/int division gives the result.  Shorter arrays, arrays holding an
+    infinity, a NaN or a value near the overflow range, and sums that are
+    exactly zero (whose sign math.fsum decides) go to ``math.fsum`` over
+    the array's buffer, which also raises its ``OverflowError`` and
+    ``ValueError``.
+    """
+    if not (
+        values.size >= _FSUM_MIN_SIZE
+        and -_FSUM_MAX_ABS < values.min()
+        and values.max() < _FSUM_MAX_ABS
+    ):
+        return math.fsum(values.data)
+    total = 0
+    for start in range(0, values.size, _FSUM_BLOCK):
+        frac, exp = np.frexp(values[start : start + _FSUM_BLOCK])
+        base = int(exp.min())
+        exp -= base
+        frac *= 2.0**27  # M / 2^26, exactly
+        high = np.floor(frac)
+        frac -= high  # the low 26 bits of M, as a fraction
+        highs = np.bincount(exp, weights=high).tolist()
+        lows = np.bincount(exp, weights=frac).tolist()
+        block = 0
+        for h, lo in zip(reversed(highs), reversed(lows)):
+            block = (block << 1) + (int(h) << 26) + int(lo * 2.0**26)
+        total += block << (base + _FSUM_UNIT - 53)
+    if total == 0:
+        return math.fsum(values.data)
+    return total / (1 << _FSUM_UNIT)
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,15 +214,24 @@ def build_family(spec: FamilySpec) -> Pmf:
 def validate_pmf(probs: Sequence[float] | Iterable[float]) -> Pmf:
     """Validate an externally supplied vector and renormalize it exactly.
 
-    Entries must all be > 0 and sum to 1 within 1e-9; the vector is then
-    divided by its exact sum so the stored Pmf meets the 1e-12 contract.
+    Entries must be numbers (Python or numpy ints and floats, or a numeric
+    numpy array; strings and bools are refused), all > 0, and sum to 1
+    within 1e-9; the vector is then divided by its exact sum so the stored
+    Pmf meets the 1e-12 contract.
     """
+    if isinstance(probs, np.ndarray):
+        numeric = probs.dtype.kind in "iuf"
+    else:
+        probs = list(probs)
+        numeric = all(isinstance(x, _NUMBER_TYPES) and not isinstance(x, bool) for x in probs)
+    if not numeric:
+        raise PmfError("probability vector must hold numbers only")
     try:
-        arr = np.asarray(list(probs), dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise PmfError(f"probability vector must hold numbers only: {exc}") from exc
-    if arr.size == 0:
-        raise PmfError("empty probability vector")
+        arr = np.asarray(probs, dtype=np.float64)
+    except OverflowError as exc:  # a JSON integer beyond float range
+        raise PmfError(f"probability vector entry out of range: {exc}") from exc
+    if arr.ndim != 1 or arr.size == 0:
+        raise PmfError("probability vector must be a non-empty 1-d sequence")
     if not np.all(np.isfinite(arr)):
         raise PmfError("probability vector contains non-finite entries")
     if np.any(arr <= 0.0):

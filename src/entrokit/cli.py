@@ -170,17 +170,29 @@ def _parse_n_grid(raw: Any) -> tuple[int, ...]:
         except ValueError as exc:
             raise ConfigError(f"--n-grid {raw!r}: entries must be integers") from exc
     if isinstance(raw, (list, tuple)):
-        if not all(isinstance(v, int) for v in raw):
+        if not all(_is_integer(v) for v in raw):
             raise ConfigError("n_grid in a config file must be a list of integers")
         return tuple(raw)
     raise ConfigError(f"cannot interpret n_grid value {raw!r}")
 
 
-def _convert(kind: type, name: str, value: Any) -> Any:
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} must be {kind.__name__}-valued, got {value!r}") from exc
+def _is_integer(value: Any) -> bool:
+    # JSON true/false load as bool, a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _integer(name: str, value: Any) -> int:
+    """A config value that must be a JSON integer; nothing is truncated or parsed."""
+    if not _is_integer(value):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _number(name: str, value: Any) -> float:
+    """A config value that must be a JSON number (integer or float)."""
+    if not (_is_integer(value) or isinstance(value, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def _resolve_experiment(args: argparse.Namespace, want_mdp: bool) -> tuple[ExperimentConfig, dict]:
@@ -213,11 +225,11 @@ def _resolve_experiment(args: argparse.Namespace, want_mdp: bool) -> tuple[Exper
     if missing:
         raise ConfigError(f"missing required options: {', '.join(missing)} (no silent defaults)")
 
-    reps = _convert(int, "reps", reps)
-    seed = _convert(int, "seed", seed)
-    delta = 1.0 if delta is None else _convert(float, "delta", delta)
+    reps = _integer("reps", reps)
+    seed = _integer("seed", seed)
+    delta = 1.0 if delta is None else _number("delta", delta)
     sampler = sampler or "multinomial"
-    workers = 1 if workers is None else _convert(int, "workers", workers)
+    workers = 1 if workers is None else _integer("workers", workers)
     n_grid = _parse_n_grid(n_grid_raw)
     rule = parse_k_rule(str(rule_text))
 
@@ -242,9 +254,9 @@ def _resolve_experiment(args: argparse.Namespace, want_mdp: bool) -> tuple[Exper
         ]
         if missing_mdp:
             raise ConfigError(f"missing required options: {', '.join(missing_mdp)}")
-        rho = _convert(float, "mdp_rho", rho)
-        eps = _convert(float, "mdp_eps", eps)
-        r = _convert(float, "mdp_r", r)
+        rho = _number("mdp_rho", rho)
+        eps = _number("mdp_eps", eps)
+        r = _number("mdp_r", r)
         try:
             mdp = MdpSchedule(rho=rho, epsilon=eps, r=r)
         except ValueError as exc:

@@ -32,13 +32,36 @@ and differ from libm in the last bit on some inputs (on an AVX-512 Xeon,
 each disagreed with libm on 3 to 21 of 20 000 random inputs, depending
 on the input range), and one such bit can flip an accept decision or an
 inversion step and so change the counts.
+
+The categorical sampler draws batches of at most ``_DRAW_BATCH`` symbols;
+in a batch of b draws starting after counter c, the cell uniforms are
+outputs c+1..c+b and the flip uniforms c+b+1..c+2b, exactly what two
+``uniforms(b)`` calls return.  Inside a batch the kernel works in
+sub-blocks of ``_SUB_BLOCK`` draws on preallocated buffers (splitmix64 in
+place, from an ``arange * golden`` step plus a base word reduced in
+Python), so its memory does not grow with n.  It computes on
+the 53-bit integers ``m`` behind the uniforms ``m * 2^-53``, and both of
+its rewrites give the same bits as the float formulation:
+
+* the cell ``floor(m * (K * 2^-53))`` equals ``floor((m * 2^-53) * K)``:
+  ``m * 2^-53`` and ``K * 2^-53`` are exact (scaling by a power of two),
+  so both products round the same real number ``m * K * 2^-53`` once;
+* the flip test ``m < ceil(threshold * 2^53)`` equals
+  ``m * 2^-53 < threshold``: ``threshold * 2^53`` is exact for a
+  threshold in [0, 1], and for an integer m, ``m < t`` holds exactly when
+  ``m < ceil(t)``.
+
+One gather from a table holding each cell's alias and the cell itself
+replaces ``np.where``.  The counts are accumulated with ``np.add.at``,
+whose cost does not depend on K (a ``bincount`` per sub-block would cost
+O(K) each time).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -64,12 +87,18 @@ _U64_11 = np.uint64(11)
 _U64_27 = np.uint64(27)
 _U64_30 = np.uint64(30)
 _U64_31 = np.uint64(31)
+_U64_MIX_A = np.uint64(_MIX_A)
+_U64_MIX_B = np.uint64(_MIX_B)
 _TWO_NEG_53 = 2.0**-53
 
 # CounterRng.uniform(): scalar mixing for the first draws of a stream
 # (a K=2 chain needs a handful), then numpy blocks of a fixed size.
 _SCALAR_DRAWS = 8
 _BLOCK = 512
+
+# The categorical kernel draws in sub-blocks of this many draws, so its
+# buffers stay in cache (about 0.5 MB in all) whatever n is.
+_SUB_BLOCK = 1 << 14
 
 
 class SamplingError(RuntimeError):
@@ -84,11 +113,21 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix64_array(z: np.ndarray) -> np.ndarray:
-    """Vectorized twin of :func:`_mix64` on uint64 arrays (wrapping arithmetic)."""
-    z = (z ^ (z >> _U64_30)) * np.uint64(_MIX_A)
-    z = (z ^ (z >> _U64_27)) * np.uint64(_MIX_B)
-    return z ^ (z >> _U64_31)
+def _mix64_array(z: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
+    """Vectorized twin of :func:`_mix64`, in place on a uint64 array; returns ``z``.
+
+    Arithmetic wraps modulo 2^64.  ``tmp`` is an optional scratch array
+    of the same shape, so a caller that mixes many blocks allocates nothing.
+    """
+    if tmp is None:
+        tmp = np.empty_like(z)
+    for shift, mult in ((_U64_30, _U64_MIX_A), (_U64_27, _U64_MIX_B)):
+        np.right_shift(z, shift, out=tmp)
+        z ^= tmp
+        z *= mult
+    np.right_shift(z, _U64_31, out=tmp)
+    z ^= tmp
+    return z
 
 
 @dataclass(frozen=True)
@@ -163,10 +202,27 @@ class CounterRng:
 
     def uniforms(self, count: int) -> np.ndarray:
         """A batch of doubles in [0, 1)."""
+        return self._outputs(self._advance(count), count)
+
+    def _advance(self, count: int) -> int:
+        """Claim the next ``count`` outputs; returns the first one's counter."""
         self._buffer = []
-        values = self._outputs(self._counter + 1, count)
+        first = self._counter + 1
         self._counter += count
-        return values
+        return first
+
+    def _mantissas(self, first: int, step: np.ndarray, z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+        """Fill ``z`` with the 53-bit integers ``m`` of outputs ``first,
+        first+1, ...``; output = ``m * 2^-53``.
+
+        ``step`` holds ``j * golden`` (mod 2^64) for ``j = 0, 1, ...`` and
+        is at least as long as ``z``.  The base word is reduced modulo 2^64
+        in Python, so no numpy scalar overflows; ``tmp`` is scratch.  No
+        state change.
+        """
+        np.add(step[: z.size], np.uint64((self._key + first * _GOLDEN) & _MASK64), out=z)
+        _mix64_array(z, tmp)
+        return np.right_shift(z, _U64_11, out=z)
 
     def _outputs(self, first: int, count: int) -> np.ndarray:
         """Outputs ``first .. first+count-1`` (1-based counters); no state change."""
@@ -201,35 +257,89 @@ class CountVector:
         return int(self.counts.size)
 
 
+def _frozen_counts(counts: np.ndarray, total: int) -> CountVector:
+    """Wrap a sampler's own int64 counts (nonnegative, summing to ``total``)
+    as a read-only CountVector without the public constructor's checks."""
+    counts.flags.writeable = False
+    vector = object.__new__(CountVector)
+    object.__setattr__(vector, "counts", counts)
+    object.__setattr__(vector, "total", total)
+    return vector
+
+
 class AliasTable:
-    """Vose alias structure over a Pmf: O(K) construction, O(1) per draw."""
+    """Vose alias structure over a Pmf: O(K) construction, O(1) per draw.
+
+    A draw reads a cell uniform and a flip uniform, picks the cell
+    ``floor(u_cell * K)`` (clamped to K-1) and keeps it when
+    ``u_flip < threshold[cell]``, else takes its alias.  The table stores
+    that rule in the integer form the block kernel uses (see the module
+    docstring): ``_cutoff = ceil(threshold * 2^53)``, and ``_pick``, which
+    holds cell i's alias at ``2i`` and i itself at ``2i + 1``.
+    """
 
     def __init__(self, probs: np.ndarray):
         k = int(probs.size)
         scaled = np.asarray(probs, dtype=np.float64) * k
         self.size = k
-        self._threshold = np.ones(k, dtype=np.float64)
-        self._alias = np.arange(k, dtype=np.int64)
+        threshold = np.ones(k, dtype=np.float64)
+        alias = np.arange(k, dtype=np.int64)
         small = [i for i in range(k) if scaled[i] < 1.0]
         large = [i for i in range(k) if scaled[i] >= 1.0]
         while small and large:
             s = small.pop()
             g = large.pop()
-            self._threshold[s] = scaled[s]
-            self._alias[s] = g
+            threshold[s] = scaled[s]
+            alias[s] = g
             scaled[g] -= 1.0 - scaled[s]
             if scaled[g] < 1.0:
                 small.append(g)
             else:
                 large.append(g)
         # Leftovers (either list) carry threshold 1 = always themselves.
+        self._cutoff = np.ceil(threshold * 2.0**53).astype(np.uint64)
+        self._pick = np.stack((alias, np.arange(k, dtype=np.int64)), axis=1).ravel()
+        self._scale = k * _TWO_NEG_53
 
     def draw(self, rng: CounterRng, count: int) -> np.ndarray:
         """Sample ``count`` symbol indices (two uniforms per draw)."""
-        u_cell = rng.uniforms(count)
-        u_flip = rng.uniforms(count)
-        idx = np.minimum((u_cell * self.size).astype(np.int64), self.size - 1)
-        return np.where(u_flip < self._threshold[idx], idx, self._alias[idx])
+        out = np.empty(count, dtype=np.int64)
+        for start, block in self._blocks(rng, count):
+            out[start : start + block.size] = block
+        return out
+
+    def _blocks(self, rng: CounterRng, count: int) -> Iterator[tuple[int, np.ndarray]]:
+        """Draw ``count`` symbols sub-block by sub-block, as ``(offset, indices)``.
+
+        Draw j reads the stream outputs that ``rng.uniforms(count)`` would
+        return at position j, first for the cell and then, from a second
+        such call, for the flip.  Each ``indices`` array is a buffer view
+        that the next sub-block overwrites.
+        """
+        cell_first = rng._advance(count)
+        flip_first = rng._advance(count)
+        size = min(count, _SUB_BLOCK)
+        step = np.arange(size, dtype=np.uint64) * np.uint64(_GOLDEN)
+        words = np.empty(size, dtype=np.uint64)
+        scratch = np.empty(size, dtype=np.uint64)
+        scaled = np.empty(size, dtype=np.float64)
+        cell = np.empty(size, dtype=np.int64)
+        keep = np.empty(size, dtype=np.bool_)
+        for start in range(0, count, _SUB_BLOCK):
+            stop = min(count - start, _SUB_BLOCK)
+            m, tmp, x, c, kept = words[:stop], scratch[:stop], scaled[:stop], cell[:stop], keep[:stop]
+            rng._mantissas(cell_first + start, step, m, tmp)
+            # m < 2^53, so its int64 view is the same value (and converts faster)
+            np.multiply(m.view(np.int64), self._scale, out=x)
+            np.copyto(c, x, casting="unsafe")
+            np.minimum(c, self.size - 1, out=c)
+            rng._mantissas(flip_first + start, step, m, tmp)
+            # indices are in range by construction; "clip" skips the bounds pass
+            np.take(self._cutoff, c, out=tmp, mode="clip")
+            np.less(m, tmp, out=kept)
+            np.left_shift(c, 1, out=c)
+            np.add(c, kept, out=c)
+            yield start, np.take(self._pick, c, out=m.view(np.int64), mode="clip")
 
 
 class _ChainPlan(NamedTuple):
@@ -292,9 +402,10 @@ def sample_counts_categorical(pmf: Pmf, n: int, seed: int) -> CountVector:
     remaining = n
     while remaining > 0:
         batch = min(remaining, _DRAW_BATCH)
-        counts += np.bincount(table.draw(rng, batch), minlength=pmf.size)
+        for _, block in table._blocks(rng, batch):
+            np.add.at(counts, block, 1)
         remaining -= batch
-    return CountVector(counts, n)
+    return _frozen_counts(counts, n)
 
 
 def sample_counts_multinomial(pmf: Pmf, n: int, seed: int) -> CountVector:
@@ -324,7 +435,7 @@ def sample_counts_multinomial(pmf: Pmf, n: int, seed: int) -> CountVector:
                 f"{remaining} draws outstanding"
             )
         counts[-1] = remaining
-    return CountVector(np.array(counts, dtype=np.int64), n)
+    return _frozen_counts(np.array(counts, dtype=np.int64), n)
 
 
 def _binomial(n: int, p: float, rng: CounterRng) -> int:

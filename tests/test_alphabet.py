@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from entrokit.alphabet import (
+    _FSUM_BLOCK,
+    _FSUM_MIN_SIZE,
     EXP_GEOMETRIC,
     HARMONIC,
     LOG_HARMONIC,
@@ -13,6 +15,7 @@ from entrokit.alphabet import (
     FamilySpec,
     Pmf,
     PmfError,
+    _fsum,
     build_family,
     load_custom_pmf,
     parse_family,
@@ -121,6 +124,24 @@ class TestValidatePmf:
         with pytest.raises(PmfError):
             validate_pmf(())
 
+    def test_rejects_two_dimensional(self):
+        with pytest.raises(PmfError, match="1-d"):
+            validate_pmf(np.full((2, 2), 0.25))
+
+    @pytest.mark.parametrize(
+        "probs",
+        [["0.5", "0.5"], [True, False], [0.5, True], np.array(["0.5", "0.5"]), np.array([True, True])],
+    )
+    def test_rejects_non_numbers(self, probs):
+        with pytest.raises(PmfError, match="numbers only"):
+            validate_pmf(probs)
+
+    def test_accepts_numeric_arrays_and_numpy_scalars(self):
+        assert validate_pmf(np.array([1, 3]) / 4).probs.tolist() == [0.25, 0.75]
+        assert validate_pmf(np.array([0.25, 0.75], dtype=np.float32)).size == 2
+        assert validate_pmf([np.float64(0.5), np.float32(0.5)]).size == 2
+        assert validate_pmf([1]).probs.tolist() == [1.0]
+
     def test_pmf_is_immutable(self):
         pmf = validate_pmf((0.5, 0.5))
         with pytest.raises(ValueError):
@@ -132,6 +153,56 @@ class TestValidatePmf:
         assert pmf.probs.tolist() == [0.25, 0.75]
         with pytest.raises(ValueError):
             pmf.probs[0] = 0.9
+
+
+def _outcome(fn, values):
+    try:
+        value = fn(values)
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+    return float(value).hex() if value == value else "nan"
+
+
+def _fsum_corpus():
+    rng = np.random.default_rng(2015)
+    sizes = (1, 100, _FSUM_MIN_SIZE - 1, _FSUM_MIN_SIZE, _FSUM_BLOCK, _FSUM_BLOCK + 1, 3 * _FSUM_BLOCK + 7)
+    for size in sizes:
+        normal = rng.standard_normal(size)
+        spread = normal * np.exp2(rng.integers(-1074, 960, size))
+        half = spread[: size // 2]
+        cancel = np.concatenate([half, -half, rng.standard_normal(size - 2 * half.size) * 1e-200])
+        rng.shuffle(cancel)
+        yield f"normal-{size}", normal
+        yield f"spread-{size}", spread
+        yield f"cancel-{size}", cancel
+        yield f"zeros-{size}", np.where(rng.random(size) < 0.5, 0.0, -0.0)
+        yield f"negzeros-{size}", np.full(size, -0.0)
+        yield f"subnormal-{size}", rng.integers(-9, 10, size) * 5e-324
+        yield f"tiny-mixed-{size}", np.where(rng.random(size) < 0.5, 5e-324, -2.5e-308)
+        big = np.full(size, 1.7e308)
+        big[1::2] = -1.6e308
+        yield f"near-max-{size}", big
+        yield f"overflow-{size}", np.full(size, 1e308)
+        yield f"just-below-cap-{size}", np.full(size, 2.0**959) * rng.choice([-1.0, 1.0], size)
+        for special in (np.inf, -np.inf, np.nan):
+            with_special = normal.copy()
+            with_special[rng.integers(size)] = special
+            yield f"{special}-{size}", with_special
+        both = normal.copy()
+        both[0], both[-1] = np.inf, -np.inf
+        yield f"inf-minus-inf-{size}", both
+
+
+@pytest.mark.parametrize("name, values", list(_fsum_corpus()), ids=lambda v: v if isinstance(v, str) else "")
+def test_fsum_matches_math_fsum(name, values):
+    # the same float bit for bit (sign of zero included), or the same error type
+    assert _outcome(_fsum, values) == _outcome(lambda v: math.fsum(v.tolist()), values)
+
+
+def test_fsum_blocks_sum_pmf_functionals_exactly():
+    p = build_family(FamilySpec(HARMONIC, 100_000)).probs
+    for values in (p, p * np.log(p), (p - 1e-5) ** 2 / p):
+        assert _fsum(values) == math.fsum(values.tolist())
 
 
 class TestLoadersAndParsing:

@@ -83,6 +83,13 @@ class TestDescribe:
         assert run_cli(["describe", "--family", f"custom:{probs}"]) == EXIT_CONFIG
         assert "must hold numbers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entries", ['["0.5", "0.5"]', "[true, false]", "[0.5, true]"])
+    def test_custom_entries_must_be_json_numbers(self, tmp_path, capsys, entries):
+        probs = tmp_path / "s.json"
+        probs.write_text(entries)
+        assert run_cli(["describe", "--family", f"custom:{probs}"]) == EXIT_CONFIG
+        assert "must hold numbers" in capsys.readouterr().err
+
     def test_one_log_pass_over_the_pmf(self, tmp_path, monkeypatch):
         real_log = np.log
         sizes = []
@@ -220,7 +227,25 @@ class TestCltCommand:
         cfg_path.write_text(json.dumps({"family": "harmonic", "n_reps": 5}))
         assert run_cli(["clt", "--config", str(cfg_path)]) == EXIT_CONFIG
 
-    @pytest.mark.parametrize("key, value", [("reps", [150]), ("delta", {})])
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("reps", [150]),
+            ("delta", {}),
+            ("reps", 150.9),
+            ("reps", 150.0),
+            ("reps", "150"),
+            ("reps", True),
+            ("seed", 7.9),
+            ("seed", "7"),
+            ("seed", False),
+            ("workers", 1.5),
+            ("workers", "2"),
+            ("workers", True),
+            ("delta", "1.0"),
+            ("delta", True),
+        ],
+    )
     def test_wrongly_typed_config_value_is_config_error(self, tmp_path, capsys, key, value):
         config = {"family": "harmonic", "K_rule": "fixed:8", "n_grid": [500], "reps": 150, "seed": 77}
         config[key] = value
@@ -228,6 +253,33 @@ class TestCltCommand:
         cfg_path.write_text(json.dumps(config))
         assert run_cli(["clt", "--config", str(cfg_path)]) == EXIT_CONFIG
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["mdp_rho", "mdp_eps", "mdp_r"])
+    @pytest.mark.parametrize("value", ["0.1", True, [0.1]])
+    def test_wrongly_typed_mdp_value_is_config_error(self, tmp_path, capsys, key, value):
+        config = {
+            "family": "harmonic",
+            "K_rule": "fixed:4",
+            "n_grid": [1000],
+            "reps": 100,
+            "seed": 9,
+            "mdp_rho": 0.05,
+            "mdp_eps": 1,
+            "mdp_r": 5.0,
+        }
+        config[key] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        assert run_cli(["mdp", "--config", str(cfg_path)]) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+
+    def test_integer_delta_is_a_number(self, tmp_path):
+        config = {"family": "harmonic", "K_rule": "fixed:8", "n_grid": [500], "reps": 150, "seed": 77, "delta": 1}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "out.json"
+        assert run_cli(["clt", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["config"]["delta"] == 1.0
 
 
 class TestBeCommand:

@@ -2,6 +2,8 @@ import hashlib
 import math
 import random
 import time
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,8 +12,10 @@ from scipy.stats import binom, chi2
 from entrokit.alphabet import FamilySpec, HARMONIC, build_family, validate_pmf
 from entrokit.sampling import (
     _BLOCK,
+    _DRAW_BATCH,
     _GOLDEN,
     _SCALAR_DRAWS,
+    _SUB_BLOCK,
     MAX_TOTAL,
     AliasTable,
     CounterRng,
@@ -25,6 +29,7 @@ from entrokit.sampling import (
     _ChainPlan,
     _mix64,
     _PLAN_CACHE,
+    _alias_table,
     _mix64_array,
     derive_stream_seed,
     derive_stream_seeds,
@@ -132,6 +137,21 @@ class TestCountVector:
             CountVector(np.array([-1, 5]), 4)
         with pytest.raises(ValueError):
             CountVector(np.array([], dtype=np.int64), 0)
+        with pytest.raises(ValueError, match="1-d"):
+            CountVector(np.array([[1, 2], [3, 4]]), 10)
+
+    @pytest.mark.parametrize("sample", SAMPLERS)
+    def test_samplers_skip_the_public_checks(self, sample, monkeypatch):
+        # the samplers' own counts are valid by construction
+        def refuse(self):
+            raise AssertionError("sampler re-validated its counts")
+
+        monkeypatch.setattr(CountVector, "__post_init__", refuse)
+        counts = sample(build_family(FamilySpec(HARMONIC, 5)), 1000, 7)
+        assert counts.total == 1000 and int(counts.counts.sum()) == 1000
+        assert counts.counts.dtype == np.int64
+        with pytest.raises(ValueError):
+            counts.counts[0] = 1
 
     def test_immutable(self):
         cv = CountVector(np.array([3, 1]), 4)
@@ -341,3 +361,103 @@ class TestAliasTable:
         draw_time = time.perf_counter() - t0
         assert build_time < 5.0
         assert draw_time < 2.0
+
+
+# sha256 of categorical counts (int64 little-endian), recorded before the
+# blocked alias kernel; each case is (family, K, n, seed, sha256).
+GOLDEN_CATEGORICAL = (
+    ("harmonic", 2, 1000, 5, "db3cb19241ea34bb1aa93320d3ac089bbb035ae6afafd478089e93c23c4b4028"),
+    ("harmonic", 10_000, 100_000, 42, "6720bbc50fa701a0f7345354f6746851038262db2c3a9d4fd230ba195bb1fc16"),
+    # n crosses _DRAW_BATCH once and three times
+    ("harmonic", 1000, (1 << 20) + 3, 7, "491476dfb2e610fe051d196030eaee4ace7d6670e2bce137e0beea3baccaec8d"),
+    ("harmonic", 100, 3 * (1 << 20) + 5, 8, "a9c588b523e71dd787feb8c26425bba7d66e376dbf02db6e015e7689ccfd4d37"),
+    # n below one sub-block
+    ("harmonic", 50, 1, 9, "44d514bc2b3ae4eeebb98c1a03689d9411351f75cf9f86acc6ba39e50e20feb0"),
+    ("logharmonic", 50, 5000, 10, "8fd78aee4a5e760a112a79c51f69db05f49613055f427a6f378dcab413b70e6c"),
+    # n not a multiple of the sub-block
+    ("uniform", 7, 3 * 16384 + 17, 11, "73f598431753f713883478d62bffc849ac8ce49065bc7deee1eb7af9a26420d8"),
+    # thresholds down to ~1e-301
+    ("expgeom", 700, 200_000, 12, "c931d52275986ff4f7cfc56909cb7e9e887745c52a8f80d747d5291bdeba5593"),
+    # K larger than a sub-block
+    ("harmonic", 100_000, 30_000, 13, "4e5208c5b729df5a656f4d9390751cd17d7e6423286ba021e96bc6d01d1a5d1a"),
+    ("uniform", 1, 12345, 14, "e1543551249113046932741cc28f36b4bbcc542233eb5094874072d3167f160a"),
+)
+# AliasTable.draw over harmonic K=1000 from CounterRng(0xA11A5): 50 000 draws,
+# 0 draws, three scalar uniform() calls, 40 001 draws, 1 draw (concatenated).
+GOLDEN_DRAW = "f23a7dbeeddfdf8f372142afa56ce74c1dd9c5e90f2d1d034572af8633e7fbab"
+
+
+def _sha256_i8(values):
+    return hashlib.sha256(np.ascontiguousarray(values, dtype="<i8").tobytes()).hexdigest()
+
+
+def _reference_draw(probs, rng, count):
+    """The scalar-table alias draw: Vose build, float uniforms, np.where."""
+    k = probs.size
+    scaled = probs * k
+    threshold = np.ones(k)
+    alias = np.arange(k)
+    small = [i for i in range(k) if scaled[i] < 1.0]
+    large = [i for i in range(k) if scaled[i] >= 1.0]
+    while small and large:
+        s, g = small.pop(), large.pop()
+        threshold[s], alias[s] = scaled[s], g
+        scaled[g] -= 1.0 - scaled[s]
+        (small if scaled[g] < 1.0 else large).append(g)
+    u_cell = rng.uniforms(count)
+    u_flip = rng.uniforms(count)
+    idx = np.minimum((u_cell * k).astype(np.int64), k - 1)
+    return np.where(u_flip < threshold[idx], idx, alias[idx])
+
+
+class TestCategoricalKernel:
+    @pytest.mark.parametrize("case", GOLDEN_CATEGORICAL, ids=lambda c: f"{c[0]}{c[1]}-n{c[2]}")
+    def test_counts_match_recorded_hash(self, case):
+        kind, k, n, seed, expected = case
+        counts = sample_counts_categorical(build_family(FamilySpec(kind, k)), n, seed)
+        assert _sha256_i8(counts.counts) == expected
+
+    def test_draw_matches_recorded_hash(self):
+        table = AliasTable(build_family(FamilySpec(HARMONIC, 1000)).probs)
+        rng = CounterRng(0xA11A5)
+        parts = [table.draw(rng, 50_000), table.draw(rng, 0)]
+        rng.uniform(), rng.uniform(), rng.uniform()
+        parts += [table.draw(rng, 40_001), table.draw(rng, 1)]
+        assert _sha256_i8(np.concatenate(parts)) == GOLDEN_DRAW
+
+    def test_draw_matches_the_float_reference(self):
+        # random Pmfs with tiny and near-1 thresholds, counts across sub-blocks,
+        # seeds near 2^64 so the stream's counter words wrap
+        picker = np.random.default_rng(23)
+        for trial in range(30):
+            k = int(picker.integers(1, 3000))
+            weights = picker.gamma(0.3, size=k) * np.exp(-picker.integers(0, 600, size=k))
+            pmf = validate_pmf(weights / weights.sum())
+            count = int(picker.integers(0, 3 * _SUB_BLOCK + 2))
+            seed = int(picker.integers(0, 2**64, dtype=np.uint64)) | (0xFFFF << 48) * (trial % 2)
+            got = AliasTable(pmf.probs).draw(CounterRng(seed), count)
+            want = _reference_draw(pmf.probs.copy(), CounterRng(seed), count)
+            assert np.array_equal(got, want), trial
+
+    def test_temporaries_stay_bounded(self):
+        # n = 3*2^20 + 5 crosses _DRAW_BATCH three times; the kernel works in
+        # sub-blocks, so no temporary grows with n
+        pmf = build_family(FamilySpec(HARMONIC, 100))
+        _alias_table(pmf)
+        tracemalloc.start()
+        try:
+            sample_counts_categorical(pmf, 3 * _DRAW_BATCH + 5, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("sample", SAMPLERS)
+    def test_samplers_emit_no_warnings(self, sample):
+        # counter words wrap modulo 2^64 at extreme seeds and long streams
+        pmf = build_family(FamilySpec(HARMONIC, 30))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for seed in (0, 1, 2**63, 2**64 - 1):
+                for n in (1, 5000, _DRAW_BATCH + 1):
+                    sample(pmf, n, seed)
