@@ -83,7 +83,7 @@ class TestDescribe:
         assert run_cli(["describe", "--family", f"custom:{probs}"]) == EXIT_CONFIG
         assert "must hold numbers" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("entries", ['["0.5", "0.5"]', "[true, false]", "[0.5, true]"])
+    @pytest.mark.parametrize("entries", ['["0.5", "0.5"]', "[true, false]", "[0.5, true]", "[[0.5], [0.5]]"])
     def test_custom_entries_must_be_json_numbers(self, tmp_path, capsys, entries):
         probs = tmp_path / "s.json"
         probs.write_text(entries)

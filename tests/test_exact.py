@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -84,6 +85,19 @@ class TestLogLaw:
             decompose(sample_counts_multinomial(pmf, 5000, int(seed)), pmf)
         assert passes == [1000]
         assert log_law(pmf).summary is pop
+
+    @pytest.mark.parametrize("fn", [abs_central_moment, split_moment_bound, exp_moment])
+    def test_moments_take_one_temporary(self, fn):
+        # at most one K-float temporary (plus the exact sum's block buffers)
+        pmf = build_family(FamilySpec(HARMONIC, 200_000))
+        log_law(pmf)
+        tracemalloc.start()
+        try:
+            fn(pmf, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * pmf.size
 
     def test_arrays_are_read_only_and_consistent(self):
         pmf = validate_pmf((0.5, 0.25, 0.25))
