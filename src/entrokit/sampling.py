@@ -38,8 +38,8 @@ in a batch of b draws starting after counter c, the cell uniforms are
 outputs c+1..c+b and the flip uniforms c+b+1..c+2b, exactly what two
 ``uniforms(b)`` calls return.  Inside a batch the kernel works in
 sub-blocks of ``_SUB_BLOCK`` draws on preallocated buffers (splitmix64 in
-place, from an ``arange * golden`` step plus a base word reduced in
-Python), so its memory does not grow with n.  It computes on
+place, from the table's ``arange * golden`` step plus a base word reduced
+in Python), so its memory does not grow with n.  It computes on
 the 53-bit integers ``m`` behind the uniforms ``m * 2^-53``, and both of
 its rewrites give the same bits as the float formulation:
 
@@ -300,6 +300,8 @@ class AliasTable:
         self._cutoff = np.ceil(threshold * 2.0**53).astype(np.uint64)
         self._pick = np.stack((alias, np.arange(k, dtype=np.int64)), axis=1).ravel()
         self._scale = k * _TWO_NEG_53
+        # counter-word offsets j * golden of one sub-block, for every draw call
+        self._step = np.arange(_SUB_BLOCK, dtype=np.uint64) * np.uint64(_GOLDEN)
 
     def draw(self, rng: CounterRng, count: int) -> np.ndarray:
         """Sample ``count`` symbol indices (two uniforms per draw)."""
@@ -319,21 +321,20 @@ class AliasTable:
         cell_first = rng._advance(count)
         flip_first = rng._advance(count)
         size = min(count, _SUB_BLOCK)
-        step = np.arange(size, dtype=np.uint64) * np.uint64(_GOLDEN)
         words = np.empty(size, dtype=np.uint64)
         scratch = np.empty(size, dtype=np.uint64)
         scaled = np.empty(size, dtype=np.float64)
         cell = np.empty(size, dtype=np.int64)
         keep = np.empty(size, dtype=np.bool_)
         for start in range(0, count, _SUB_BLOCK):
-            stop = min(count - start, _SUB_BLOCK)
-            m, tmp, x, c, kept = words[:stop], scratch[:stop], scaled[:stop], cell[:stop], keep[:stop]
-            rng._mantissas(cell_first + start, step, m, tmp)
+            length = min(count - start, _SUB_BLOCK)
+            m, tmp, x, c, kept = (a[:length] for a in (words, scratch, scaled, cell, keep))
+            rng._mantissas(cell_first + start, self._step, m, tmp)
             # m < 2^53, so its int64 view is the same value (and converts faster)
             np.multiply(m.view(np.int64), self._scale, out=x)
             np.copyto(c, x, casting="unsafe")
             np.minimum(c, self.size - 1, out=c)
-            rng._mantissas(flip_first + start, step, m, tmp)
+            rng._mantissas(flip_first + start, self._step, m, tmp)
             # indices are in range by construction; "clip" skips the bounds pass
             np.take(self._cutoff, c, out=tmp, mode="clip")
             np.less(m, tmp, out=kept)
