@@ -27,7 +27,7 @@ import sys
 import time
 import warnings
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
 from .alphabet import PmfError, build_family, parse_family
 from .exact import (
@@ -114,39 +114,95 @@ def canonical_json(obj: Any) -> str:
     return "".join(out)
 
 
-def _write_output(record: dict, out_path: str | None) -> None:
+def _write_record(
+    args: argparse.Namespace,
+    command: str,
+    config: dict,
+    results: dict,
+    rows: Iterable[dict] | None = None,
+) -> None:
+    """Write the JSON record to ``--out`` (else stdout) and, given ``--csv``, its ``rows``.
+
+    The CSV has one line per row, headed by the row's keys; floats as
+    repr, None as an empty field.
+    """
+    record = {
+        "schema_version": SCHEMA_VERSION,
+        "command": command,
+        "config": config,
+        "results": results,
+    }
     text = canonical_json(record)
-    if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
-
-
-def _write_csv(path: str, rows: Sequence[dict]) -> None:
-    """One line per record row, headed by its keys; floats as repr, None as an empty field."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
+    if rows is not None and args.csv:
+        rows = list(rows)
+        with open(args.csv, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
-# Configuration assembly (flags over config-file values).
+# Experiment settings: one table drives the flags, the config file, the type
+# checks, the missing-option report and the echo.
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = (
-    "family",
-    "K_rule",
-    "n_grid",
-    "reps",
-    "seed",
-    "delta",
-    "sampler",
-    "workers",
-    "mdp_rho",
-    "mdp_eps",
-    "mdp_r",
+class _Setting(NamedTuple):
+    """One experiment setting: flag ``--name`` (``-`` for ``_``), config-file key ``name``."""
+
+    name: str
+    kind: str  # its JSON type: "integer", "number", "string" or "grid"
+    default: Any  # None: the setting is required
+    help: str
+    # Worker count cannot change results, so it stays out of the echo and
+    # cannot break byte-identity.
+    echo: bool = True
+
+
+_SETTINGS = (
+    _Setting("family", "string", None, "parametric family kind (harmonic|expgeom|logharmonic|uniform)"),
+    _Setting("K_rule", "string", None, "alphabet rule: fixed:K | pow:kappa | logpow:kappa"),
+    _Setting("n_grid", "grid", None, "comma-separated sample sizes, strictly increasing"),
+    _Setting("reps", "integer", None, "replicates per grid point (>= 100, <= 2^32)"),
+    _Setting("seed", "integer", None, "64-bit master seed (required; no silent default)"),
+    _Setting("delta", "number", 1.0, "moment exponent offset in [0, 1] (default 1)"),
+    _Setting("sampler", "string", "multinomial", "categorical | multinomial (default multinomial)"),
+    _Setting("workers", "integer", 1, "worker processes; never changes results (default 1)", echo=False),
 )
+_MDP_SETTINGS = (
+    _Setting("mdp_rho", "number", None, "deviation scale exponent, b_n = n^rho, 0 < rho < 1/2"),
+    _Setting("mdp_eps", "number", None, "epsilon in the summability condition (> 0)"),
+    _Setting("mdp_r", "number", None, "exceedance threshold r (>= 0)"),
+)
+
+
+def _flag(setting: _Setting) -> str:
+    return "--" + setting.name.replace("_", "-")
+
+
+def _is_integer(value: Any) -> bool:
+    # JSON true/false load as bool, a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _grid(text: str) -> list[int]:
+    """The text of an ``--n-grid`` flag: comma-separated integers."""
+    try:
+        return [int(p) for p in text.split(",") if p.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r}: entries must be integers") from None
+
+
+# JSON type -> (its name in errors, the check every value must pass, the parser of flag text)
+_JSON_TYPES = {
+    "integer": ("an integer", _is_integer, int),
+    "number": ("a number", lambda v: _is_integer(v) or isinstance(v, float), float),
+    "string": ("a string", lambda v: isinstance(v, str), str),
+    "grid": ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_integer, v)), _grid),
+}
 
 
 def _load_config_file(path: str) -> dict:
@@ -156,132 +212,47 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    unknown = set(data) - set(_CONFIG_KEYS)
+    unknown = set(data) - {s.name for s in _SETTINGS + _MDP_SETTINGS}
     if unknown:
         raise ConfigError(f"config file {path} has unknown keys: {sorted(unknown)}")
     return data
 
 
-def _parse_n_grid(raw: Any) -> tuple[int, ...]:
-    if isinstance(raw, str):
-        parts = [p for p in raw.split(",") if p.strip()]
-        try:
-            return tuple(int(p) for p in parts)
-        except ValueError as exc:
-            raise ConfigError(f"--n-grid {raw!r}: entries must be integers") from exc
-    if isinstance(raw, (list, tuple)):
-        if not all(_is_integer(v) for v in raw):
-            raise ConfigError("n_grid in a config file must be a list of integers")
-        return tuple(raw)
-    raise ConfigError(f"cannot interpret n_grid value {raw!r}")
-
-
-def _is_integer(value: Any) -> bool:
-    # JSON true/false load as bool, a subclass of int
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _integer(name: str, value: Any) -> int:
-    """A config value that must be a JSON integer; nothing is truncated or parsed."""
-    if not _is_integer(value):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
-def _number(name: str, value: Any) -> float:
-    """A config value that must be a JSON number (integer or float)."""
-    if not (_is_integer(value) or isinstance(value, float)):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    return float(value)
-
-
-def _resolve_experiment(args: argparse.Namespace, want_mdp: bool) -> tuple[ExperimentConfig, dict]:
-    """Merge config file and flags into an ExperimentConfig plus its canonical echo."""
+def _resolve_experiment(args: argparse.Namespace) -> tuple[ExperimentConfig, dict]:
+    """Merge flags over config-file values over defaults into an ExperimentConfig
+    plus its canonical echo.  Values are never converted: each must already
+    be of its setting's JSON type (numbers become floats)."""
     base = _load_config_file(args.config) if args.config else {}
-
-    def pick(flag_value, key):
-        return flag_value if flag_value is not None else base.get(key)
-
-    family = pick(args.family, "family")
-    rule_text = pick(args.K_rule, "K_rule")
-    n_grid_raw = pick(args.n_grid, "n_grid")
-    reps = pick(args.reps, "reps")
-    seed = pick(args.seed, "seed")
-    delta = pick(args.delta, "delta")
-    sampler = pick(args.sampler, "sampler")
-    workers = pick(args.workers, "workers")
-
-    missing = [
-        name
-        for name, value in (
-            ("--family", family),
-            ("--K-rule", rule_text),
-            ("--n-grid", n_grid_raw),
-            ("--reps", reps),
-            ("--seed", seed),
-        )
-        if value is None
-    ]
+    values: dict[str, Any] = {}
+    for setting in args.settings:
+        value = getattr(args, setting.name)
+        if value is None:
+            value = base.get(setting.name)
+        values[setting.name] = setting.default if value is None else value
+    missing = [_flag(s) for s in args.settings if values[s.name] is None]
     if missing:
         raise ConfigError(f"missing required options: {', '.join(missing)} (no silent defaults)")
-
-    reps = _integer("reps", reps)
-    seed = _integer("seed", seed)
-    delta = 1.0 if delta is None else _number("delta", delta)
-    sampler = sampler or "multinomial"
-    workers = 1 if workers is None else _integer("workers", workers)
-    n_grid = _parse_n_grid(n_grid_raw)
-    rule = parse_k_rule(str(rule_text))
-
+    for setting in args.settings:
+        what, check, _ = _JSON_TYPES[setting.kind]
+        if not check(values[setting.name]):
+            raise ConfigError(f"{setting.name} must be {what}, got {values[setting.name]!r}")
+        if setting.kind == "number":
+            values[setting.name] = float(values[setting.name])
     mdp = None
-    echo: dict[str, Any] = {
-        "family": str(family),
-        "K_rule": str(rule_text),
-        "n_grid": list(n_grid),
-        "reps": reps,
-        "seed": seed,
-        "delta": delta,
-        "sampler": str(sampler),
-    }
-    if want_mdp:
-        rho = pick(args.mdp_rho, "mdp_rho")
-        eps = pick(args.mdp_eps, "mdp_eps")
-        r = pick(args.mdp_r, "mdp_r")
-        missing_mdp = [
-            name
-            for name, value in (("--mdp-rho", rho), ("--mdp-eps", eps), ("--mdp-r", r))
-            if value is None
-        ]
-        if missing_mdp:
-            raise ConfigError(f"missing required options: {', '.join(missing_mdp)}")
-        rho = _number("mdp_rho", rho)
-        eps = _number("mdp_eps", eps)
-        r = _number("mdp_r", r)
-        try:
-            mdp = MdpSchedule(rho=rho, epsilon=eps, r=r)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        echo["mdp_rho"] = rho
-        echo["mdp_eps"] = eps
-        echo["mdp_r"] = r
-
-    try:
-        config = ExperimentConfig(
-            family=str(family),
-            k_rule=rule,
-            n_grid=n_grid,
-            replicates=reps,
-            master_seed=seed,
-            delta=delta,
-            sampler=str(sampler),
-            mdp=mdp,
-            workers=workers,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    # The echo carries the experiment definition only: worker count and
-    # output paths cannot change results and must not break byte-identity.
-    return config, echo
+    if "mdp_r" in values:
+        mdp = MdpSchedule(rho=values["mdp_rho"], epsilon=values["mdp_eps"], r=values["mdp_r"])
+    config = ExperimentConfig(
+        family=values["family"],
+        k_rule=parse_k_rule(values["K_rule"]),
+        n_grid=tuple(values["n_grid"]),
+        replicates=values["reps"],
+        master_seed=values["seed"],
+        delta=values["delta"],
+        sampler=values["sampler"],
+        mdp=mdp,
+        workers=values["workers"],
+    )
+    return config, {s.name: values[s.name] for s in args.settings if s.echo}
 
 
 # ---------------------------------------------------------------------------
@@ -325,137 +296,86 @@ def _cmd_describe(args: argparse.Namespace) -> int:
         if delta / pop.sigma >= 1.0:
             notes.append("delta/sigma >= 1: the envelope is not uniform in K")
     results["notes"] = notes
-    record = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "describe",
-        "config": {"family": args.family, "delta": delta},
-        "results": results,
-    }
-    _write_output(record, args.out)
+    _write_record(args, "describe", {"family": args.family, "delta": delta}, results)
     return EXIT_OK
 
 
 def _cmd_clt(args: argparse.Namespace) -> int:
-    config, echo = _resolve_experiment(args, want_mdp=False)
-    summaries = run_clt(config)
-    per_n = []
-    for s in summaries:
-        per_n.append(
-            {
-                "n": s.n,
-                "K": s.size,
-                "replicates": s.replicates,
-                "entropy": s.entropy,
-                "sigma": s.sigma,
-                "ks_distance": s.ks_distance,
-                "z_mean": s.z_mean,
-                "z_var": s.z_var,
-                "mean_kl_term": s.mean_kl,
-                "mean_chi2_term": s.mean_chi2,
-                "expected_chi2_mean": (s.size - 1) / s.n,
-                "z_samples": [float(z) for z in s.z_samples],
-            }
-        )
-    record = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "clt",
-        "config": echo,
-        "results": {"experiments": per_n},
-    }
-    _write_output(record, args.out)
-    if args.csv:
-        rows = [
-            {"n": e["n"], "K": e["K"], "rank": j, "z": z}
-            for e in per_n
-            for j, z in enumerate(e["z_samples"])
-        ]
-        _write_csv(args.csv, rows)
+    config, echo = _resolve_experiment(args)
+    per_n = [
+        {
+            "n": s.n,
+            "K": s.size,
+            "replicates": s.replicates,
+            "entropy": s.entropy,
+            "sigma": s.sigma,
+            "ks_distance": s.ks_distance,
+            "z_mean": s.z_mean,
+            "z_var": s.z_var,
+            "mean_kl_term": s.mean_kl,
+            "mean_chi2_term": s.mean_chi2,
+            "expected_chi2_mean": (s.size - 1) / s.n,
+            "z_samples": [float(z) for z in s.z_samples],
+        }
+        for s in run_clt(config)
+    ]
+    rows = (
+        {"n": e["n"], "K": e["K"], "rank": j, "z": z}
+        for e in per_n
+        for j, z in enumerate(e["z_samples"])
+    )
+    _write_record(args, "clt", echo, {"experiments": per_n}, rows)
     return EXIT_OK
 
 
 def _cmd_be(args: argparse.Namespace) -> int:
-    config, echo = _resolve_experiment(args, want_mdp=False)
+    config, echo = _resolve_experiment(args)
     sweep = run_be_sweep(config)
-    record = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "be",
-        "config": echo,
-        "results": {
-            "rows": [
-                {
-                    "n": r.n,
-                    "K": r.size,
-                    "ks_distance": r.ks_distance,
-                    "bound_shape": r.bound_shape,
-                    "ratio": r.ratio,
-                }
-                for r in sweep.rows
-            ],
-            "noise_band": sweep.noise_band,
-            "noise_inversions": sweep.noise_inversions,
-            "hard_violations": sweep.hard_violations,
-            "ks_nonincreasing": sweep.ks_nonincreasing,
-        },
+    results = {
+        "rows": [
+            {
+                "n": r.n,
+                "K": r.size,
+                "ks_distance": r.ks_distance,
+                "bound_shape": r.bound_shape,
+                "ratio": r.ratio,
+            }
+            for r in sweep.rows
+        ],
+        "noise_band": sweep.noise_band,
+        "noise_inversions": sweep.noise_inversions,
+        "hard_violations": sweep.hard_violations,
+        "ks_nonincreasing": sweep.ks_nonincreasing,
     }
-    _write_output(record, args.out)
-    if args.csv:
-        _write_csv(args.csv, record["results"]["rows"])
+    _write_record(args, "be", echo, results, results["rows"])
     return EXIT_OK
 
 
 def _cmd_mdp(args: argparse.Namespace) -> int:
-    config, echo = _resolve_experiment(args, want_mdp=True)
-    cells = run_mdp(config)
-    record = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "mdp",
-        "config": echo,
-        "results": {
-            "cells": [
-                {
-                    "n": c.n,
-                    "K": c.size,
-                    "b_n": c.scale,
-                    "threshold": c.threshold,
-                    "replicates_used": c.replicates_used,
-                    "exceedances": c.exceedances,
-                    "p_hat": c.p_hat,
-                    "scaled_log_prob": c.scaled_log_prob,
-                    "target": c.target,
-                    "condition_value": c.condition_value,
-                    "flag": c.flag,
-                }
-                for c in cells
-            ]
-        },
-    }
-    _write_output(record, args.out)
-    if args.csv:
-        _write_csv(args.csv, record["results"]["cells"])
+    config, echo = _resolve_experiment(args)
+    cells = [
+        {
+            "n": c.n,
+            "K": c.size,
+            "b_n": c.scale,
+            "threshold": c.threshold,
+            "replicates_used": c.replicates_used,
+            "exceedances": c.exceedances,
+            "p_hat": c.p_hat,
+            "scaled_log_prob": c.scaled_log_prob,
+            "target": c.target,
+            "condition_value": c.condition_value,
+            "flag": c.flag,
+        }
+        for c in run_mdp(config)
+    ]
+    _write_record(args, "mdp", echo, {"cells": cells}, cells)
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
-
-def _add_experiment_flags(parser: argparse.ArgumentParser, mdp: bool) -> None:
-    parser.add_argument("--family", help="parametric family kind (harmonic|expgeom|logharmonic|uniform)")
-    parser.add_argument("--K-rule", dest="K_rule", help="alphabet rule: fixed:K | pow:kappa | logpow:kappa")
-    parser.add_argument("--n-grid", dest="n_grid", help="comma-separated sample sizes, strictly increasing")
-    parser.add_argument("--reps", type=int, help="replicates per grid point (>= 100)")
-    parser.add_argument("--seed", type=int, help="64-bit master seed (required; no silent default)")
-    parser.add_argument("--delta", type=float, help="moment exponent offset in [0, 1] (default 1)")
-    parser.add_argument("--sampler", choices=("categorical", "multinomial"), help="count sampler (default multinomial)")
-    parser.add_argument("--workers", type=int, help="worker processes; never changes results (default 1)")
-    parser.add_argument("--config", help="JSON config file mirroring these flags (flags win)")
-    parser.add_argument("--out", help="write the JSON record here instead of stdout")
-    parser.add_argument("--csv", help="also write a CSV convenience export here")
-    if mdp:
-        parser.add_argument("--mdp-rho", dest="mdp_rho", type=float, help="deviation scale exponent, b_n = n^rho, 0 < rho < 1/2")
-        parser.add_argument("--mdp-eps", dest="mdp_eps", type=float, help="epsilon in the summability condition (> 0)")
-        parser.add_argument("--mdp-r", dest="mdp_r", type=float, help="exceedance threshold r (>= 0)")
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -470,17 +390,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_desc.add_argument("--out", help="write the JSON record here instead of stdout")
     p_desc.set_defaults(func=_cmd_describe)
 
-    p_clt = sub.add_parser("clt", help="standardized-statistic experiment")
-    _add_experiment_flags(p_clt, mdp=False)
-    p_clt.set_defaults(func=_cmd_clt)
-
-    p_be = sub.add_parser("be", help="bound-shape sweep")
-    _add_experiment_flags(p_be, mdp=False)
-    p_be.set_defaults(func=_cmd_be)
-
-    p_mdp = sub.add_parser("mdp", help="moderate-deviation exceedance experiment")
-    _add_experiment_flags(p_mdp, mdp=True)
-    p_mdp.set_defaults(func=_cmd_mdp)
+    experiments = (
+        ("clt", "standardized-statistic experiment", _cmd_clt, _SETTINGS),
+        ("be", "bound-shape sweep", _cmd_be, _SETTINGS),
+        ("mdp", "moderate-deviation exceedance experiment", _cmd_mdp, _SETTINGS + _MDP_SETTINGS),
+    )
+    for name, help_text, func, settings in experiments:
+        p_exp = sub.add_parser(name, help=help_text)
+        for setting in settings:
+            p_exp.add_argument(_flag(setting), type=_JSON_TYPES[setting.kind][2], help=setting.help)
+        p_exp.add_argument("--config", help="JSON config file mirroring these flags (flags win)")
+        p_exp.add_argument("--out", help="write the JSON record here instead of stdout")
+        p_exp.add_argument("--csv", help="also write a CSV convenience export here")
+        p_exp.set_defaults(func=func, settings=settings)
     return parser
 
 

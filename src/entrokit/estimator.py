@@ -85,12 +85,14 @@ def decompose(counts: CountVector, pmf: Pmf) -> DecompositionReport:
 
     nonzero = phat > 0.0
     ph_nz = phat[nonzero]
-    plugin = -_fsum(ph_nz * np.log(ph_nz))
-    linear = -_fsum((phat - p) * logp)
-    kl = _fsum(ph_nz * (np.log(ph_nz) - logp[nonzero]))
+    log_ph = np.log(ph_nz)
+    diff = phat - p
+    plugin = -_fsum(ph_nz * log_ph)
+    linear = -_fsum(diff * logp)
+    kl = _fsum(ph_nz * (log_ph - logp[nonzero]))
     if -_KL_CLAMP_TOL < kl < 0.0:
         kl = 0.0
-    chi2 = _fsum((phat - p) ** 2 / p)
+    chi2 = _fsum(diff**2 / p)
 
     if pop.degenerate:
         standardized = None

@@ -4,9 +4,9 @@ Everything here is a pure function of an explicit finite distribution:
 Shannon entropy, the variance of the log-probability, absolute central
 moments of the linearization variable ``T = -ln p(X) - H``, exponential
 moments of ``|T|/sigma``, Lindeberg truncation residuals, the
-Berry-Esseen bound shape, the moderate-deviation summability value, and
-the Hoeffding tail bound.  Sums use exact (Shewchuk) float summation;
-the moderate-deviation value is evaluated in log space.
+Berry-Esseen bound shape and the moderate-deviation summability value.
+Sums use exact (Shewchuk) float summation; the moderate-deviation value
+is evaluated in log space.
 
 Every functional reads one :class:`LogLaw` per Pmf: ``ln p``, the
 centered ``ln p + H`` and the population summary, computed in a single
@@ -275,19 +275,6 @@ def mdp_condition(pmf: Pmf, n: int, schedule: MdpSchedule) -> float:
     peak = float(exponents.max())
     log_sum = peak + math.log(_fsum(np.exp(exponents - peak)))
     return log_sum / b**2
-
-
-def hoeffding_tail(n: int, r: float, range_sq_sum: float) -> float:
-    """Two-sided bounded-difference tail bound ``2 exp(-2 n^2 r^2 / sum (b_i-a_i)^2)``.
-
-    For n indicator variables the squared ranges sum to n, giving
-    ``2 exp(-2 n r^2)``.  Vacuous (>= 1) whenever the exponent is small.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    _require_positive("r", r)
-    _require_positive("range_sq_sum", range_sq_sum)
-    return 2.0 * math.exp(-2.0 * n * n * r * r / range_sq_sum)
 
 
 def normal_cdf(x: float) -> float:

@@ -66,6 +66,9 @@ _IDENTITY_TOL = 1e-12
 # monotonicity noise band (two deviations): 2 * 1.36 / sqrt(M).
 _KS_NULL_95 = 1.36
 _WORKER_CHUNK = 256
+# An mdp cell is infeasible when its Gaussian sizing asks for more than
+# max(this, replicates) replicates.
+_MDP_MAX_REPLICATES = 200_000
 
 
 class ConfigError(ValueError):
@@ -86,6 +89,8 @@ class KRule:
     def __post_init__(self) -> None:
         if self.kind not in RULE_KINDS:
             raise ConfigError(f"unknown K rule kind {self.kind!r}; expected one of {RULE_KINDS}")
+        if not math.isfinite(self.value):
+            raise ConfigError(f"K rule {self.kind}:{self.value!r} needs a finite value")
         if self.kind == "fixed":
             if self.value < 1 or self.value != int(self.value):
                 raise ConfigError(f"fixed K rule needs a positive integer, got {self.value}")
@@ -95,9 +100,11 @@ class KRule:
     def alphabet_size(self, n: int) -> int:
         if self.kind == "fixed":
             return int(self.value)
-        if self.kind == "pow":
-            return int(math.floor(float(n) ** self.value))
-        return int(math.floor(math.log(n) ** self.value))
+        base = float(n) if self.kind == "pow" else math.log(n)
+        try:
+            return int(math.floor(base**self.value))
+        except OverflowError:
+            raise ConfigError(f"K rule {self.render()} gives K beyond float range at n={n}") from None
 
     def render(self) -> str:
         if self.kind == "fixed":
@@ -131,7 +138,6 @@ class ExperimentConfig:
     sampler: str = "multinomial"
     mdp: MdpSchedule | None = None
     workers: int = 1
-    mdp_max_replicates: int = 200_000
 
     def __post_init__(self) -> None:
         if self.family not in PARAMETRIC_FAMILIES:
@@ -150,6 +156,10 @@ class ExperimentConfig:
             raise ConfigError(
                 f"replicates must be >= 100 for any distributional summary, got {self.replicates}"
             )
+        if self.replicates > _GRID_STRIDE:
+            raise ConfigError(
+                f"replicates must be <= 2^32, the streams of one grid point, got {self.replicates}"
+            )
         if not 0 <= self.master_seed <= (1 << 64) - 1:
             raise ConfigError("master_seed must be a 64-bit unsigned integer")
         if not 0.0 <= self.delta <= 1.0:
@@ -158,8 +168,6 @@ class ExperimentConfig:
             raise ConfigError(f"sampler must be one of {SAMPLERS}, got {self.sampler!r}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if self.mdp_max_replicates < self.replicates:
-            raise ConfigError("mdp_max_replicates must be >= replicates")
 
 
 @dataclass(frozen=True)
@@ -385,7 +393,7 @@ def run_mdp(config: ExperimentConfig) -> list[MdpCell]:
 
     The replicate count is auto-raised per cell until the Gaussian-
     approximation expected exceedance count reaches 20; cells that would
-    need more than ``mdp_max_replicates`` are flagged infeasible and not
+    need more than max(200 000, replicates) are flagged infeasible and not
     sampled.  Cells with zero observed exceedances are flagged rather
     than given a fabricated probability.
     """
@@ -403,7 +411,7 @@ def run_mdp(config: ExperimentConfig) -> list[MdpCell]:
         # replicate count so ~20 exceedances are expected.
         p_gauss = 2.0 * (1.0 - normal_cdf(threshold))
         needed = config.replicates if p_gauss <= 0.0 else math.ceil(20.0 / p_gauss)
-        if p_gauss <= 0.0 or needed > config.mdp_max_replicates:
+        if p_gauss <= 0.0 or needed > max(_MDP_MAX_REPLICATES, config.replicates):
             m_used, exceedances, flag = 0, 0, "infeasible"
         else:
             m_used = max(config.replicates, needed)

@@ -195,14 +195,15 @@ class CounterRng:
         if self._counter <= _SCALAR_DRAWS:
             z = _mix64(self._key + self._counter * _GOLDEN)
             return (z >> 11) * _TWO_NEG_53
-        block = self._outputs(self._counter, _BLOCK)[::-1].tolist()
+        words = self._mantissas(self._counter, np.empty(_BLOCK, dtype=np.uint64))
+        block = (words * _TWO_NEG_53)[::-1].tolist()
         value = block.pop()
         self._buffer = block
         return value
 
     def uniforms(self, count: int) -> np.ndarray:
         """A batch of doubles in [0, 1)."""
-        return self._outputs(self._advance(count), count)
+        return self._mantissas(self._advance(count), np.empty(count, dtype=np.uint64)) * _TWO_NEG_53
 
     def _advance(self, count: int) -> int:
         """Claim the next ``count`` outputs; returns the first one's counter."""
@@ -211,24 +212,23 @@ class CounterRng:
         self._counter += count
         return first
 
-    def _mantissas(self, first: int, step: np.ndarray, z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    def _mantissas(
+        self, first: int, z: np.ndarray, tmp: np.ndarray | None = None, step: np.ndarray | None = None
+    ) -> np.ndarray:
         """Fill ``z`` with the 53-bit integers ``m`` of outputs ``first,
-        first+1, ...``; output = ``m * 2^-53``.
+        first+1, ...`` (1-based counters); output = ``m * 2^-53``.  Every
+        stream word is made here.
 
         ``step`` holds ``j * golden`` (mod 2^64) for ``j = 0, 1, ...`` and
-        is at least as long as ``z``.  The base word is reduced modulo 2^64
-        in Python, so no numpy scalar overflows; ``tmp`` is scratch.  No
-        state change.
+        is at least as long as ``z``; it is built when not given.  The base
+        word is reduced modulo 2^64 in Python, so no numpy scalar
+        overflows; ``tmp`` is optional scratch.  No state change.
         """
+        if step is None:
+            step = np.arange(z.size, dtype=np.uint64) * np.uint64(_GOLDEN)
         np.add(step[: z.size], np.uint64((self._key + first * _GOLDEN) & _MASK64), out=z)
         _mix64_array(z, tmp)
         return np.right_shift(z, _U64_11, out=z)
-
-    def _outputs(self, first: int, count: int) -> np.ndarray:
-        """Outputs ``first .. first+count-1`` (1-based counters); no state change."""
-        idx = np.arange(first, first + count, dtype=np.uint64)
-        z = _mix64_array(np.uint64(self._key) + idx * np.uint64(_GOLDEN))
-        return (z >> _U64_11).astype(np.float64) * _TWO_NEG_53
 
 
 @dataclass(frozen=True, eq=False)
@@ -329,12 +329,12 @@ class AliasTable:
         for start in range(0, count, _SUB_BLOCK):
             length = min(count - start, _SUB_BLOCK)
             m, tmp, x, c, kept = (a[:length] for a in (words, scratch, scaled, cell, keep))
-            rng._mantissas(cell_first + start, self._step, m, tmp)
+            rng._mantissas(cell_first + start, m, tmp, self._step)
             # m < 2^53, so its int64 view is the same value (and converts faster)
             np.multiply(m.view(np.int64), self._scale, out=x)
             np.copyto(c, x, casting="unsafe")
             np.minimum(c, self.size - 1, out=c)
-            rng._mantissas(flip_first + start, self._step, m, tmp)
+            rng._mantissas(flip_first + start, m, tmp, self._step)
             # indices are in range by construction; "clip" skips the bounds pass
             np.take(self._cutoff, c, out=tmp, mode="clip")
             np.less(m, tmp, out=kept)

@@ -1,11 +1,14 @@
+import ast
 import csv
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from entrokit import cli, montecarlo, sampling
 from entrokit.cli import EXIT_CONFIG, EXIT_DEGENERATE, EXIT_OK, canonical_json, main
 
 LN2 = math.log(2.0)
@@ -244,6 +247,15 @@ class TestCltCommand:
             ("workers", True),
             ("delta", "1.0"),
             ("delta", True),
+            ("sampler", ""),
+            ("sampler", False),
+            ("sampler", 0),
+            ("sampler", []),
+            ("n_grid", "500"),
+            ("n_grid", 500),
+            ("n_grid", [500.0]),
+            ("family", 5),
+            ("K_rule", 8),
         ],
     )
     def test_wrongly_typed_config_value_is_config_error(self, tmp_path, capsys, key, value):
@@ -280,6 +292,13 @@ class TestCltCommand:
         out = tmp_path / "out.json"
         assert run_cli(["clt", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
         assert json.loads(out.read_text())["config"]["delta"] == 1.0
+
+
+    @pytest.mark.parametrize("rule", ["pow:inf", "fixed:inf", "logpow:inf", "fixed:1e400", "pow:nan", "pow:1000"])
+    def test_k_rule_without_a_finite_k_is_config_error(self, capsys, rule):
+        args = ["clt", "--family", "harmonic", "--K-rule", rule, "--n-grid", "1000", "--reps", "100", "--seed", "1"]
+        assert run_cli(args) == EXIT_CONFIG
+        assert "K rule" in capsys.readouterr().err
 
 
 class TestBeCommand:
@@ -444,3 +463,42 @@ def test_payload_and_csv_match_recorded_hashes(tmp_path, args, json_sha, csv_sha
     assert run_cli(args + ["--out", str(out), "--csv", str(csv_path)]) == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == json_sha
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == csv_sha
+
+
+def _trace_points():
+    """(module, name) of every TRACE_POINTS entry of the benchmark's traced run."""
+    tree = ast.parse((Path(__file__).parents[1] / "benchmarks" / "layers.py").read_text())
+    [table] = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TRACE_POINTS"]
+    ]
+    return [(entry.elts[0].id, entry.elts[1].value) for entry in table.elts]
+
+
+def test_benchmark_trace_hooks_are_called(tmp_path, monkeypatch):
+    # The traced benchmark swaps wrappers in for these module globals; a
+    # name the CLI no longer looks up at call time would silently zero its
+    # per-layer metric.
+    modules = {"cli": cli, "montecarlo": montecarlo, "sampling": sampling}
+    points = _trace_points()
+    assert {module for module, _ in points} <= set(modules)
+    called = set()
+
+    def spy(key, fn):
+        def wrapper(*args, **kwargs):
+            called.add(key)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for key in points:
+        module = modules[key[0]]
+        monkeypatch.setattr(module, key[1], spy(key, getattr(module, key[1])))
+    out = str(tmp_path / "out.json")
+    experiment = ["--family", "harmonic", "--K-rule", "fixed:4", "--n-grid", "1000", "--reps", "100", "--seed", "9"]
+    assert run_cli(["describe", "--family", "harmonic:100", "--out", out]) == EXIT_OK
+    assert run_cli(["clt", *experiment, "--sampler", "categorical", "--out", out]) == EXIT_OK
+    mdp = ["--mdp-rho", "0.05", "--mdp-eps", "1.0", "--mdp-r", "0.5"]
+    assert run_cli(["mdp", *experiment, *mdp, "--out", out]) == EXIT_OK
+    assert sorted(set(points) - called) == []

@@ -25,7 +25,6 @@ from entrokit.exact import (
     entropy,
     exp_moment,
     exp_moment_envelope,
-    hoeffding_tail,
     lindeberg_residual,
     log_law,
     mdp_condition,
@@ -382,28 +381,6 @@ class TestMdpCondition:
             MdpSchedule(rho=0.1, epsilon=0.0, r=1.0)
         with pytest.raises(ValueError):
             MdpSchedule(rho=0.1, epsilon=1.0, r=-0.5)
-
-
-class TestHoeffdingTail:
-    def test_vacuous_at_tiny_threshold(self):
-        assert hoeffding_tail(100, 1e-12, 100.0) == pytest.approx(2.0, abs=1e-8)
-
-    def test_indicator_case_value(self):
-        assert hoeffding_tail(100, 0.1, 100.0) == pytest.approx(2.0 * math.exp(-2.0), rel=1e-14)
-
-    def test_doubling_identity_indicator_case(self):
-        n, r = 250, 0.07
-        single = hoeffding_tail(n, r, float(n))
-        doubled = hoeffding_tail(2 * n, r, float(2 * n))
-        assert doubled == pytest.approx(single**2 / 2.0, rel=1e-12)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            hoeffding_tail(0, 0.1, 1.0)
-        with pytest.raises(ValueError):
-            hoeffding_tail(10, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            hoeffding_tail(10, 0.1, 0.0)
 
 
 class TestNormalCdf:

@@ -56,6 +56,19 @@ class TestKRule:
         with pytest.raises(ConfigError):
             KRule("pow", -0.1)
 
+    @pytest.mark.parametrize(
+        "text",
+        ["pow:inf", "fixed:inf", "logpow:inf", "fixed:1e400", "pow:-inf", "pow:nan", "fixed:nan", "logpow:nan"],
+    )
+    def test_non_finite_value_is_config_error(self, text):
+        with pytest.raises(ConfigError, match=f"K rule {text.partition(':')[0]}:"):
+            parse_k_rule(text)
+
+    @pytest.mark.parametrize("text", ["pow:1000", "logpow:1e5"])
+    def test_k_beyond_float_range_is_config_error(self, text):
+        with pytest.raises(ConfigError, match="float range"):
+            parse_k_rule(text).alphabet_size(1000)
+
 
 class TestExperimentConfig:
     def test_replicate_floor(self):
@@ -75,6 +88,14 @@ class TestExperimentConfig:
     def test_delta_range(self):
         with pytest.raises(ConfigError, match="delta"):
             small_config(delta=1.5)
+
+    def test_replicate_cap_is_one_grid_point_of_streams(self):
+        assert small_config(replicates=1 << 32).replicates == 1 << 32
+        with pytest.raises(ConfigError, match="2\\^32"):
+            small_config(replicates=(1 << 32) + 1)
+
+    def test_no_mdp_replicate_cap_below_the_stream_cap(self):
+        assert small_config(replicates=200_001).replicates == 200_001
 
 
 class TestKsDistance:
@@ -216,7 +237,6 @@ class TestRunMdp:
         cfg = small_config(
             n_grid=(10_000,),
             mdp=MdpSchedule(rho=0.3, epsilon=1.0, r=1.0),
-            mdp_max_replicates=10_000,
         )
         [cell] = run_mdp(cfg)
         assert cell.flag == "infeasible"
@@ -224,6 +244,16 @@ class TestRunMdp:
         assert cell.scaled_log_prob is None
         assert cell.replicates_used == 0
         assert math.isfinite(cell.condition_value)
+
+    def test_cell_needing_more_than_the_cap_is_infeasible(self, monkeypatch):
+        # test_auto_raise_replicates' cell needs ~5400 replicates
+        monkeypatch.setattr(montecarlo, "_MDP_MAX_REPLICATES", 1000)
+        cfg = small_config(n_grid=(10_000,), mdp=MdpSchedule(rho=0.115, epsilon=1.0, r=1.0))
+        [cell] = run_mdp(cfg)
+        assert (cell.flag, cell.replicates_used) == ("infeasible", 0)
+        [cell] = run_mdp(small_config(n_grid=(10_000,), replicates=6000, mdp=cfg.mdp))
+        assert cell.flag == "ok"
+        assert cell.replicates_used == 6000
 
     def test_expgeom_trend_smoke(self):
         cfg = ExperimentConfig(
