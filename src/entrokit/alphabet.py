@@ -39,6 +39,11 @@ _CONSTRUCTED_SUM_TOL = 1e-12
 _INPUT_SUM_TOL = 1e-9
 # Entry types validate_pmf accepts in a sequence (bool is refused apart).
 _NUMBER_TYPES = (int, float, np.integer, np.floating)
+# Largest alphabet a FamilySpec, and so any experiment grid point, may ask
+# for: each float64 vector over it takes 80 MB, and a describe call at this
+# size peaks near 340 MB resident (about 31 bytes per cell, measured at
+# K = 1e6 to 4e6, over an interpreter of about 31 MB).
+MAX_ALPHABET_SIZE = 10_000_000
 
 
 class PmfError(ValueError):
@@ -46,13 +51,15 @@ class PmfError(ValueError):
 
 
 # _fsum: arrays shorter than _FSUM_MIN_SIZE go to math.fsum, which is faster
-# there; longer ones are bucketed in blocks of _FSUM_BLOCK values, whose
-# temporaries stay under 0.5 MB.  Below _FSUM_MAX_ABS, fewer than 2^60 terms
-# cannot bring any partial sum near overflow.
+# there.  Longer ones are summed in blocks of _FSUM_BLOCK values; a block of
+# b values extracts 53 - _FSUM_LIFT bits per pass, where 2^_FSUM_LIFT > b,
+# and its two float64 work buffers take 256 KB.  Below _FSUM_MAX_ABS, fewer
+# than 2^60 terms cannot bring any partial sum near overflow.
 _FSUM_MIN_SIZE = 2048
 _FSUM_BLOCK = 1 << 14
+_FSUM_LIFT = _FSUM_BLOCK.bit_length()  # 2^15 > _FSUM_BLOCK
 _FSUM_MAX_ABS = 2.0**960
-# frexp writes a float64 as M * 2^(e-53) with e >= -1073: a multiple of 2^-_FSUM_UNIT.
+# Every extracted block sum is a multiple of 2^-_FSUM_UNIT (see _fsum).
 _FSUM_UNIT = 1126
 
 
@@ -60,39 +67,46 @@ def _fsum(values: np.ndarray) -> float:
     """Exactly rounded sum of a float64 array: the float ``math.fsum`` returns.
 
     Arrays of at least ``_FSUM_MIN_SIZE`` finite values below 2^960 in
-    magnitude are summed exactly with integers, a block at a time:
-    ``np.frexp`` writes each value as ``M * 2^(e-53)`` with an integer
-    ``|M| < 2^53``; ``M`` is split into a high part ``floor(M / 2^26)``
-    and a low part in ``[0, 2^26)``; ``np.bincount`` sums each part per
-    exponent ``e``, and each such float64 sum is exact because a block's
-    parts add up to at most 2^41 in magnitude.  The bucket sums are
-    combined as Python ints in units of 2^-1126, and one correctly
-    rounded int/int division gives the result.  Shorter arrays, arrays holding an
-    infinity, a NaN or a value near the overflow range, and sums that are
-    exactly zero (whose sign math.fsum decides) go to ``math.fsum`` over
-    the array's buffer, which also raises its ``OverflowError`` and
-    ``ValueError``.
+    magnitude are summed exactly by error-free extraction (Rump, Ogita and
+    Oishi, "Accurate floating-point summation part I", 2008), a block of
+    ``b`` values at a time.  With ``max|x| <= 2^e`` and
+    ``sigma = 2^(e + _FSUM_LIFT)``, ``q = (x + sigma) - sigma`` is ``x``
+    rounded to a multiple of ``2^(e + _FSUM_LIFT - 53)``, exactly, and the
+    remainder ``x - q`` is exact and at most that unit in magnitude.  As
+    ``|q| <= 2^e`` and ``b < 2^_FSUM_LIFT``, every partial sum of the ``q``
+    is a multiple of the unit smaller than ``sigma``, so ``np.sum(q)`` is
+    exact in any order.  The sum joins a Python-int total in units of
+    2^-1126, which no unit undercuts: the remainders are all zero once the
+    unit falls below 2^-1074, the spacing of the subnormals.  Until then
+    the remainders go through the next pass, with ``e`` lowered to the unit.
+    One correctly rounded int/int division gives the result.  Shorter
+    arrays, arrays holding an infinity, a NaN or a value near the overflow
+    range, and sums that are exactly zero (whose sign math.fsum decides)
+    go to ``math.fsum`` over the array's buffer, which also raises its
+    ``OverflowError`` and ``ValueError``.
     """
-    if not (
-        values.size >= _FSUM_MIN_SIZE
-        and -_FSUM_MAX_ABS < values.min()
-        and values.max() < _FSUM_MAX_ABS
-    ):
+    if values.size < _FSUM_MIN_SIZE:
         return math.fsum(values.data)
+    q_buf = np.empty(min(values.size, _FSUM_BLOCK))
+    r_buf = np.empty_like(q_buf)
     total = 0
     for start in range(0, values.size, _FSUM_BLOCK):
-        frac, exp = np.frexp(values[start : start + _FSUM_BLOCK])
-        base = int(exp.min())
-        exp -= base
-        frac *= 2.0**27  # M / 2^26, exactly
-        high = np.floor(frac)
-        frac -= high  # the low 26 bits of M, as a fraction
-        highs = np.bincount(exp, weights=high).tolist()
-        lows = np.bincount(exp, weights=frac).tolist()
-        block = 0
-        for h, lo in zip(reversed(highs), reversed(lows)):
-            block = (block << 1) + (int(h) << 26) + int(lo * 2.0**26)
-        total += block << (base + _FSUM_UNIT - 53)
+        x = values[start : start + _FSUM_BLOCK]
+        lo, hi = x.min(), x.max()
+        if not (-_FSUM_MAX_ABS < lo and hi < _FSUM_MAX_ABS):
+            return math.fsum(values.data)
+        q, r = q_buf[: x.size], r_buf[: x.size]
+        e = math.frexp(max(-lo, hi))[1] + _FSUM_LIFT  # sigma = 2^e
+        while True:
+            sigma = math.ldexp(1.0, e)
+            np.add(x, sigma, out=q)
+            q -= sigma
+            np.subtract(x, q, out=r)
+            total += int(math.ldexp(float(q.sum()), 53 - e)) << (e - 53 + _FSUM_UNIT)
+            if not r.any():
+                break
+            x = r
+            e -= 53 - _FSUM_LIFT
     if total == 0:
         return math.fsum(values.data)
     return total / (1 << _FSUM_UNIT)
@@ -171,6 +185,8 @@ class FamilySpec:
                 raise PmfError(f"alphabet size must be >= 1, got {self.size}")
             if self.kind == LOG_HARMONIC and self.size < 2:
                 raise PmfError("logharmonic family requires size >= 2")
+        if self.size > MAX_ALPHABET_SIZE:
+            raise PmfError(f"alphabet size {self.size} exceeds the cap of {MAX_ALPHABET_SIZE}")
 
 
 def family_weights(kind: str, size: int) -> np.ndarray:

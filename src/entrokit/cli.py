@@ -206,38 +206,42 @@ _JSON_TYPES = {
 
 
 def _load_config_file(path: str) -> dict:
+    """The settings a JSON config file sets, each checked against its JSON type
+    whatever the command (numbers become floats; null leaves a setting unset)."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    unknown = set(data) - {s.name for s in _SETTINGS + _MDP_SETTINGS}
+    settings = {s.name: s for s in _SETTINGS + _MDP_SETTINGS}
+    unknown = set(data) - set(settings)
     if unknown:
         raise ConfigError(f"config file {path} has unknown keys: {sorted(unknown)}")
-    return data
+    values = {}
+    for name, value in data.items():
+        if value is None:
+            continue
+        kind = settings[name].kind
+        what, check, _ = _JSON_TYPES[kind]
+        if not check(value):
+            raise ConfigError(f"{name} must be {what}, got {value!r}")
+        values[name] = float(value) if kind == "number" else value
+    return values
 
 
 def _resolve_experiment(args: argparse.Namespace) -> tuple[ExperimentConfig, dict]:
     """Merge flags over config-file values over defaults into an ExperimentConfig
-    plus its canonical echo.  Values are never converted: each must already
-    be of its setting's JSON type (numbers become floats)."""
+    plus its canonical echo.  Values are never converted: flags are parsed
+    to, and config-file values checked against, their setting's JSON type."""
     base = _load_config_file(args.config) if args.config else {}
     values: dict[str, Any] = {}
     for setting in args.settings:
         value = getattr(args, setting.name)
-        if value is None:
-            value = base.get(setting.name)
-        values[setting.name] = setting.default if value is None else value
+        values[setting.name] = base.get(setting.name, setting.default) if value is None else value
     missing = [_flag(s) for s in args.settings if values[s.name] is None]
     if missing:
         raise ConfigError(f"missing required options: {', '.join(missing)} (no silent defaults)")
-    for setting in args.settings:
-        what, check, _ = _JSON_TYPES[setting.kind]
-        if not check(values[setting.name]):
-            raise ConfigError(f"{setting.name} must be {what}, got {values[setting.name]!r}")
-        if setting.kind == "number":
-            values[setting.name] = float(values[setting.name])
     mdp = None
     if "mdp_r" in values:
         mdp = MdpSchedule(rho=values["mdp_rho"], epsilon=values["mdp_eps"], r=values["mdp_r"])

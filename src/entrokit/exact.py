@@ -5,8 +5,9 @@ Shannon entropy, the variance of the log-probability, absolute central
 moments of the linearization variable ``T = -ln p(X) - H``, exponential
 moments of ``|T|/sigma``, Lindeberg truncation residuals, the
 Berry-Esseen bound shape and the moderate-deviation summability value.
-Sums use exact (Shewchuk) float summation; the moderate-deviation value
-is evaluated in log space.
+Sums are correctly rounded (``alphabet._fsum``: the float ``math.fsum``
+returns, by error-free extraction on long arrays); the moderate-deviation
+value is evaluated in log space.
 
 Every functional reads one :class:`LogLaw` per Pmf: ``ln p``, the
 centered ``ln p + H`` and the population summary, computed in a single

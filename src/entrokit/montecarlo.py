@@ -32,6 +32,7 @@ from .alphabet import (
     EXP_GEOMETRIC,
     HARMONIC,
     LOG_HARMONIC,
+    MAX_ALPHABET_SIZE,
     UNIFORM,
     FamilySpec,
     Pmf,
@@ -313,6 +314,11 @@ def _grid_point(config: ExperimentConfig, n: int) -> tuple[Pmf, PopulationSummar
     if size < 2:
         raise ConfigError(
             f"K rule {config.k_rule.render()} gives K={size} at n={n}; need K >= 2"
+        )
+    if size > MAX_ALPHABET_SIZE:
+        raise ConfigError(
+            f"K rule {config.k_rule.render()} gives K={size} at n={n}; "
+            f"the cap is {MAX_ALPHABET_SIZE}"
         )
     pmf = build_family(FamilySpec(config.family, size))
     pop = population_summary(pmf)

@@ -11,6 +11,7 @@ from entrokit.alphabet import (
     EXP_GEOMETRIC,
     HARMONIC,
     LOG_HARMONIC,
+    MAX_ALPHABET_SIZE,
     UNIFORM,
     FamilySpec,
     Pmf,
@@ -98,6 +99,9 @@ class TestBuildFamily:
             FamilySpec(LOG_HARMONIC, 1)
         with pytest.raises(PmfError):
             FamilySpec("zipf", 10)
+        assert FamilySpec(UNIFORM, MAX_ALPHABET_SIZE).size == MAX_ALPHABET_SIZE
+        with pytest.raises(PmfError, match="cap"):
+            FamilySpec(UNIFORM, MAX_ALPHABET_SIZE + 1)
 
 
 class TestValidatePmf:
@@ -193,7 +197,48 @@ def _fsum_corpus():
         yield f"inf-minus-inf-{size}", both
 
 
-@pytest.mark.parametrize("name, values", list(_fsum_corpus()), ids=lambda v: v if isinstance(v, str) else "")
+def _fsum_block_corpus():
+    """Arrays built block by block, to reach each branch of the per-block extraction."""
+    rng = np.random.default_rng(2008)
+    b = _FSUM_BLOCK
+
+    def block(values, size=b):
+        return rng.permutation(np.resize(np.asarray(values, dtype=np.float64), size))
+
+    normal = rng.standard_normal(3 * b)
+    # Bits from 2^0 down to about 2^-172: several passes of 53 - _FSUM_LIFT bits.
+    yield "three-or-more-passes", block(rng.choice([1.0, 2.0**-60, 2.0**-120], b) * (1.0 + rng.random(b)))
+    yield "three-or-more-passes-short", block(rng.choice([-1.0, 2.0**-60, -(2.0**-120)], 3000) * rng.random(3000), 3000)
+    # Full blocks of one sign near their maximum (the largest partial sums),
+    # cancelled by the next block so a lost bit would decide the result.
+    for label, scale in (("1", 1.0), ("-2^900", -(2.0**900))):
+        near_max = rng.uniform(0.75, 1.0, b) * scale
+        yield f"one-signed-near-max-{label}", np.concatenate([near_max, -near_max[::-1], [1e-300]])
+    specials = {"inf": np.inf, "-inf": -np.inf, "nan": np.nan, "2^960": 2.0**960, "-1.5*2^960": -1.5 * 2.0**960}
+    for label, special in specials.items():
+        last = normal.copy()
+        last[-1] = special
+        yield f"last-block-{label}", last
+    both = normal.copy()
+    both[-2:] = np.inf, -np.inf
+    yield "last-block-inf-minus-inf", both
+    zeros = np.where(rng.random(b) < 0.5, 0.0, -0.0)
+    yield "zero-blocks-between", np.concatenate([normal[:b], zeros, zeros, normal[b : b + 7]])
+    half = rng.standard_normal(b // 2) * np.exp2(rng.integers(-40, 40, b // 2))
+    yield "block-sums-to-zero", np.concatenate([block(np.concatenate([half, -half])), normal[: b + 5]])
+    yield "array-sums-to-zero", np.concatenate([normal[: 2 * b], -normal[: 2 * b][::-1]])
+    yield "array-sums-to-zero-with-negative-zeros", np.concatenate([np.full(b, -0.0), -normal[:b], normal[:b], [-0.0]])
+    subnormal = rng.integers(-(2**40), 2**40, b) * 5e-324
+    yield "subnormal-blocks", np.concatenate([subnormal, subnormal[::-1] * 3.0, subnormal[:99]])
+    yield "subnormal-normal-blocks", np.concatenate([subnormal, block(np.concatenate([subnormal[:100], normal[:100]]))])
+    yield "subnormal-cancel", np.concatenate([subnormal, -subnormal[::-1], [5e-324]])
+    for size in (_FSUM_MIN_SIZE, b + 1):
+        yield f"poszeros-{size}", np.zeros(size)
+
+
+@pytest.mark.parametrize(
+    "name, values", [*_fsum_corpus(), *_fsum_block_corpus()], ids=lambda v: v if isinstance(v, str) else ""
+)
 def test_fsum_matches_math_fsum(name, values):
     # the same float bit for bit (sign of zero included), or the same error type
     assert _outcome(_fsum, values) == _outcome(lambda v: math.fsum(v.tolist()), values)
@@ -203,6 +248,32 @@ def test_fsum_blocks_sum_pmf_functionals_exactly():
     p = build_family(FamilySpec(HARMONIC, 100_000)).probs
     for values in (p, p * np.log(p), (p - 1e-5) ** 2 / p):
         assert _fsum(values) == math.fsum(values.tolist())
+
+
+def test_fsum_matches_math_fsum_on_random_spreads():
+    # Sizes straddle the math.fsum cut-over and the block edges; exponents
+    # spread over 0 to 2000 binades, from the subnormals up to 2^959.
+    rng = np.random.default_rng(20080101)
+    sizes = (
+        _FSUM_MIN_SIZE - 1,
+        _FSUM_MIN_SIZE,
+        _FSUM_MIN_SIZE + 1,
+        _FSUM_BLOCK - 1,
+        _FSUM_BLOCK,
+        _FSUM_BLOCK + 1,
+        2 * _FSUM_BLOCK + 3,
+    )
+    for case in range(200):
+        size = int(rng.choice(sizes)) if case % 2 else int(rng.integers(_FSUM_MIN_SIZE // 2, 2 * _FSUM_BLOCK))
+        spread = int(rng.integers(0, 2001))
+        low = int(rng.integers(-1074, 959 - spread + 1))
+        values = np.ldexp(rng.uniform(-1.0, 1.0, size), rng.integers(low, low + spread + 1, size))
+        if case % 3 == 0:  # near-total cancellation
+            values[size // 2 :] = -values[: size - size // 2][::-1]
+        if case % 5 == 0:
+            values[rng.random(size) < 0.3] = 0.0
+        expected = _outcome(lambda v: math.fsum(v.tolist()), values)
+        assert _outcome(_fsum, values) == expected, (case, size, spread, low)
 
 
 class TestLoadersAndParsing:

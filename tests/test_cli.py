@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entrokit import cli, montecarlo, sampling
+from entrokit import alphabet, cli, montecarlo, sampling
+from entrokit.alphabet import MAX_ALPHABET_SIZE
 from entrokit.cli import EXIT_CONFIG, EXIT_DEGENERATE, EXIT_OK, canonical_json, main
 
 LN2 = math.log(2.0)
@@ -285,6 +286,17 @@ class TestCltCommand:
         assert run_cli(["mdp", "--config", str(cfg_path)]) == EXIT_CONFIG
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["clt", "be"])
+    @pytest.mark.parametrize("key", ["mdp_rho", "mdp_eps", "mdp_r"])
+    def test_mdp_values_are_checked_under_every_command(self, tmp_path, capsys, command, key):
+        # one config file may serve all three commands, so its mdp keys are
+        # checked even where they go unused
+        config = {"family": "harmonic", "K_rule": "fixed:8", "n_grid": [500], "reps": 150, "seed": 77, key: "x"}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        assert run_cli([command, "--config", str(cfg_path)]) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+
     def test_integer_delta_is_a_number(self, tmp_path):
         config = {"family": "harmonic", "K_rule": "fixed:8", "n_grid": [500], "reps": 150, "seed": 77, "delta": 1}
         cfg_path = tmp_path / "cfg.json"
@@ -299,6 +311,32 @@ class TestCltCommand:
         args = ["clt", "--family", "harmonic", "--K-rule", rule, "--n-grid", "1000", "--reps", "100", "--seed", "1"]
         assert run_cli(args) == EXIT_CONFIG
         assert "K rule" in capsys.readouterr().err
+
+
+@pytest.fixture
+def no_family_weights(monkeypatch):
+    """Fail the test, before anything is allocated, if family weights are built."""
+
+    def refuse(kind, size):
+        raise AssertionError(f"family_weights({kind!r}, {size}) was reached")
+
+    monkeypatch.setattr(alphabet, "family_weights", refuse)
+
+
+class TestAlphabetCap:
+    def test_describe_beyond_the_cap_is_config_error(self, capsys, no_family_weights):
+        assert run_cli(["describe", "--family", f"uniform:{MAX_ALPHABET_SIZE + 1}"]) == EXIT_CONFIG
+        assert str(MAX_ALPHABET_SIZE) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "rule, n, size",
+        [(f"fixed:{MAX_ALPHABET_SIZE + 1}", 1000, MAX_ALPHABET_SIZE + 1), ("pow:1.5", 10**6, 10**9)],
+    )
+    def test_grid_point_beyond_the_cap_is_config_error(self, capsys, no_family_weights, rule, n, size):
+        args = ["clt", "--family", "harmonic", "--K-rule", rule, "--n-grid", str(n), "--reps", "100", "--seed", "1"]
+        assert run_cli(args) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"K rule {rule}" in err and f"K={size} at n={n}" in err
 
 
 class TestBeCommand:
