@@ -51,13 +51,13 @@ class PmfError(ValueError):
 
 
 # _fsum: arrays shorter than _FSUM_MIN_SIZE go to math.fsum, which is faster
-# there.  Longer ones are summed in blocks of _FSUM_BLOCK values; a block of
-# b values extracts 53 - _FSUM_LIFT bits per pass, where 2^_FSUM_LIFT > b,
-# and its two float64 work buffers take 256 KB.  Below _FSUM_MAX_ABS, fewer
-# than 2^60 terms cannot bring any partial sum near overflow.
+# there (the two cross near 1400 values).  Longer ones are summed in blocks of
+# _FSUM_BLOCK values with two 128 KB work buffers, extracting 53 - _FSUM_LIFT
+# bits per pass.  Below _FSUM_MAX_ABS, fewer than 2^60 terms cannot bring any
+# partial sum near overflow.
 _FSUM_MIN_SIZE = 2048
 _FSUM_BLOCK = 1 << 14
-_FSUM_LIFT = _FSUM_BLOCK.bit_length()  # 2^15 > _FSUM_BLOCK
+_FSUM_LIFT = _FSUM_BLOCK.bit_length()  # every block holds fewer than 2^_FSUM_LIFT values
 _FSUM_MAX_ABS = 2.0**960
 # Every extracted block sum is a multiple of 2^-_FSUM_UNIT (see _fsum).
 _FSUM_UNIT = 1126
@@ -96,17 +96,17 @@ def _fsum(values: np.ndarray) -> float:
         if not (-_FSUM_MAX_ABS < lo and hi < _FSUM_MAX_ABS):
             return math.fsum(values.data)
         q, r = q_buf[: x.size], r_buf[: x.size]
-        e = math.frexp(max(-lo, hi))[1] + _FSUM_LIFT  # sigma = 2^e
+        k = math.frexp(max(-lo, hi))[1] + _FSUM_LIFT  # sigma = 2^k, the unit 2^(k-53)
         while True:
-            sigma = math.ldexp(1.0, e)
+            sigma = math.ldexp(1.0, k)
             np.add(x, sigma, out=q)
             q -= sigma
             np.subtract(x, q, out=r)
-            total += int(math.ldexp(float(q.sum()), 53 - e)) << (e - 53 + _FSUM_UNIT)
+            total += int(math.ldexp(float(q.sum()), 53 - k)) << (k - 53 + _FSUM_UNIT)
             if not r.any():
                 break
             x = r
-            e -= 53 - _FSUM_LIFT
+            k -= 53 - _FSUM_LIFT
     if total == 0:
         return math.fsum(values.data)
     return total / (1 << _FSUM_UNIT)

@@ -208,7 +208,8 @@ def _fsum_block_corpus():
     normal = rng.standard_normal(3 * b)
     # Bits from 2^0 down to about 2^-172: several passes of 53 - _FSUM_LIFT bits.
     yield "three-or-more-passes", block(rng.choice([1.0, 2.0**-60, 2.0**-120], b) * (1.0 + rng.random(b)))
-    yield "three-or-more-passes-short", block(rng.choice([-1.0, 2.0**-60, -(2.0**-120)], 3000) * rng.random(3000), 3000)
+    short = rng.choice([-1.0, 2.0**-60, -(2.0**-120)], 3000) * rng.random(3000)
+    yield "three-or-more-passes-short", block(short, 3000)
     # Full blocks of one sign near their maximum (the largest partial sums),
     # cancelled by the next block so a lost bit would decide the result.
     for label, scale in (("1", 1.0), ("-2^900", -(2.0**900))):
@@ -227,10 +228,12 @@ def _fsum_block_corpus():
     half = rng.standard_normal(b // 2) * np.exp2(rng.integers(-40, 40, b // 2))
     yield "block-sums-to-zero", np.concatenate([block(np.concatenate([half, -half])), normal[: b + 5]])
     yield "array-sums-to-zero", np.concatenate([normal[: 2 * b], -normal[: 2 * b][::-1]])
-    yield "array-sums-to-zero-with-negative-zeros", np.concatenate([np.full(b, -0.0), -normal[:b], normal[:b], [-0.0]])
+    negative_zeros = np.full(b, -0.0)
+    yield "array-sums-to-zero-with-negative-zeros", np.concatenate([negative_zeros, -normal[:b], normal[:b], [-0.0]])
     subnormal = rng.integers(-(2**40), 2**40, b) * 5e-324
     yield "subnormal-blocks", np.concatenate([subnormal, subnormal[::-1] * 3.0, subnormal[:99]])
-    yield "subnormal-normal-blocks", np.concatenate([subnormal, block(np.concatenate([subnormal[:100], normal[:100]]))])
+    mixed = block(np.concatenate([subnormal[:100], normal[:100]]))
+    yield "subnormal-normal-blocks", np.concatenate([subnormal, mixed])
     yield "subnormal-cancel", np.concatenate([subnormal, -subnormal[::-1], [5e-324]])
     for size in (_FSUM_MIN_SIZE, b + 1):
         yield f"poszeros-{size}", np.zeros(size)
