@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -28,6 +29,8 @@ import time
 import warnings
 from pathlib import Path
 from typing import Any, Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from .alphabet import PmfError, build_family, parse_family
 from .exact import (
@@ -226,7 +229,10 @@ def _load_config_file(path: str) -> dict:
         what, check, _ = _JSON_TYPES[kind]
         if not check(value):
             raise ConfigError(f"{name} must be {what}, got {value!r}")
-        values[name] = float(value) if kind == "number" else value
+        try:
+            values[name] = float(value) if kind == "number" else value
+        except OverflowError:
+            raise ConfigError(f"{name} must be {what} within float range") from None
     return values
 
 
@@ -304,25 +310,21 @@ def _cmd_describe(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _fields(record: Any) -> Any:
+    """A result record as its payload: a dataclass as a dict of its fields in
+    order, a tuple or list as a list, an array as a list of numbers."""
+    if dataclasses.is_dataclass(record):
+        return {f.name: _fields(getattr(record, f.name)) for f in dataclasses.fields(record)}
+    if isinstance(record, (tuple, list)):
+        return [_fields(value) for value in record]
+    if isinstance(record, np.ndarray):
+        return record.tolist()
+    return record
+
+
 def _cmd_clt(args: argparse.Namespace) -> int:
     config, echo = _resolve_experiment(args)
-    per_n = [
-        {
-            "n": s.n,
-            "K": s.size,
-            "replicates": s.replicates,
-            "entropy": s.entropy,
-            "sigma": s.sigma,
-            "ks_distance": s.ks_distance,
-            "z_mean": s.z_mean,
-            "z_var": s.z_var,
-            "mean_kl_term": s.mean_kl,
-            "mean_chi2_term": s.mean_chi2,
-            "expected_chi2_mean": (s.size - 1) / s.n,
-            "z_samples": [float(z) for z in s.z_samples],
-        }
-        for s in run_clt(config)
-    ]
+    per_n = _fields(run_clt(config))
     rows = (
         {"n": e["n"], "K": e["K"], "rank": j, "z": z}
         for e in per_n
@@ -334,45 +336,14 @@ def _cmd_clt(args: argparse.Namespace) -> int:
 
 def _cmd_be(args: argparse.Namespace) -> int:
     config, echo = _resolve_experiment(args)
-    sweep = run_be_sweep(config)
-    results = {
-        "rows": [
-            {
-                "n": r.n,
-                "K": r.size,
-                "ks_distance": r.ks_distance,
-                "bound_shape": r.bound_shape,
-                "ratio": r.ratio,
-            }
-            for r in sweep.rows
-        ],
-        "noise_band": sweep.noise_band,
-        "noise_inversions": sweep.noise_inversions,
-        "hard_violations": sweep.hard_violations,
-        "ks_nonincreasing": sweep.ks_nonincreasing,
-    }
+    results = _fields(run_be_sweep(config))
     _write_record(args, "be", echo, results, results["rows"])
     return EXIT_OK
 
 
 def _cmd_mdp(args: argparse.Namespace) -> int:
     config, echo = _resolve_experiment(args)
-    cells = [
-        {
-            "n": c.n,
-            "K": c.size,
-            "b_n": c.scale,
-            "threshold": c.threshold,
-            "replicates_used": c.replicates_used,
-            "exceedances": c.exceedances,
-            "p_hat": c.p_hat,
-            "scaled_log_prob": c.scaled_log_prob,
-            "target": c.target,
-            "condition_value": c.condition_value,
-            "flag": c.flag,
-        }
-        for c in run_mdp(config)
-    ]
+    cells = _fields(run_mdp(config))
     _write_record(args, "mdp", echo, {"cells": cells}, cells)
     return EXIT_OK
 

@@ -57,7 +57,8 @@ class MdpSchedule:
     """Moderate-deviation scale ``b_n = n^rho`` plus the event parameters.
 
     ``0 < rho < 1/2`` keeps ``b_n -> infinity`` while ``b_n/sqrt(n) -> 0``.
-    ``r = 0`` is allowed as the trivial boundary (exceedance probability 1).
+    ``epsilon > 0`` and ``r >= 0`` must be finite; ``r = 0`` is allowed as
+    the trivial boundary (exceedance probability 1).
     """
 
     rho: float
@@ -67,10 +68,10 @@ class MdpSchedule:
     def __post_init__(self) -> None:
         if not 0.0 < self.rho < 0.5:
             raise ValueError(f"rho must lie in (0, 1/2), got {self.rho}")
-        if not self.epsilon > 0.0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
-        if self.r < 0.0:
-            raise ValueError(f"threshold r must be >= 0, got {self.r}")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
+        if not 0.0 <= self.r < math.inf:
+            raise ValueError(f"threshold r must be finite and >= 0, got {self.r}")
 
     def scale(self, n: int) -> float:
         """The deviation scale b_n evaluated at sample size n."""

@@ -15,13 +15,16 @@ stream index (grid position * 2^32 + replicate), so results are
 bit-identical for a fixed master seed regardless of worker count; worker
 output is reduced in stream-index order.  Every replicate re-checks the
 decomposition identity and the KL/chi-square sandwich as it is consumed.
+
+The result records (``EcdfSummary``, ``BeSweepResult``, ``BeSweepRow``,
+``MdpCell``) are the CLI payload: their field names, in order, are its keys.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Iterator, Sequence
@@ -50,6 +53,7 @@ from .exact import (
 )
 from .estimator import decompose
 from .sampling import (
+    MAX_TOTAL,
     derive_stream_seeds,
     sample_counts_categorical,
     sample_counts_multinomial,
@@ -150,6 +154,8 @@ class ExperimentConfig:
             raise ConfigError("n_grid must be non-empty")
         if any(n < 1 for n in grid):
             raise ConfigError("n_grid entries must be >= 1")
+        if any(n > MAX_TOTAL for n in grid):
+            raise ConfigError("n_grid entries must be <= 2^62, the samplers' domain")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError("n_grid must be strictly increasing")
         object.__setattr__(self, "n_grid", grid)
@@ -173,25 +179,29 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class EcdfSummary:
-    """Standardized-statistic sample for one grid point, with its KS distance."""
+    """Standardized-statistic sample for one grid point, with its KS distance.
+
+    ``expected_chi2_mean`` is (K-1)/n, the mean of the chi-square term.
+    """
 
     n: int
-    size: int
+    K: int
     replicates: int
     entropy: float
     sigma: float
-    z_samples: np.ndarray  # sorted ascending
     ks_distance: float
     z_mean: float
     z_var: float
-    mean_kl: float
-    mean_chi2: float
+    mean_kl_term: float
+    mean_chi2_term: float
+    expected_chi2_mean: float
+    z_samples: np.ndarray  # sorted ascending
 
 
 @dataclass(frozen=True)
 class BeSweepRow:
     n: int
-    size: int
+    K: int
     ks_distance: float
     bound_shape: float
     ratio: float
@@ -203,16 +213,15 @@ class BeSweepResult:
 
     An adjacent KS increase within ``noise_band`` counts as a tolerated
     Monte Carlo inversion; anything larger is a hard violation.
+    ``ks_nonincreasing`` holds with no hard violation and at most one
+    inversion.
     """
 
     rows: tuple[BeSweepRow, ...]
     noise_band: float
     noise_inversions: int
     hard_violations: int
-
-    @property
-    def ks_nonincreasing(self) -> bool:
-        return self.hard_violations == 0 and self.noise_inversions <= 1
+    ks_nonincreasing: bool
 
 
 @dataclass(frozen=True)
@@ -225,8 +234,8 @@ class MdpCell:
     """
 
     n: int
-    size: int
-    scale: float
+    K: int
+    b_n: float
     threshold: float
     replicates_used: int
     exceedances: int
@@ -301,7 +310,7 @@ def _simulate(
     if processes <= 1:
         parts = [body(c) for c in chunks]
     else:
-        with ProcessPoolExecutor(max_workers=processes) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=processes) as pool:
             parts = list(pool.map(body, chunks))
     z = np.array([v for part in parts for v in part[0]], dtype=np.float64)
     kl = np.array([v for part in parts for v in part[1]], dtype=np.float64)
@@ -342,16 +351,17 @@ def _clt_points(config: ExperimentConfig) -> Iterator[tuple[Pmf, EcdfSummary]]:
         var = float(np.sum((z - mean) ** 2) / (m - 1)) if m > 1 else 0.0
         yield pmf, EcdfSummary(
             n=n,
-            size=pmf.size,
+            K=pmf.size,
             replicates=m,
             entropy=pop.entropy,
             sigma=pop.sigma,
-            z_samples=z_sorted,
             ks_distance=ks_distance(z_sorted),
             z_mean=mean,
             z_var=var,
-            mean_kl=float(np.mean(kl)),
-            mean_chi2=float(np.mean(chi2)),
+            mean_kl_term=float(np.mean(kl)),
+            mean_chi2_term=float(np.mean(chi2)),
+            expected_chi2_mean=(pmf.size - 1) / n,
+            z_samples=z_sorted,
         )
 
 
@@ -372,7 +382,7 @@ def run_be_sweep(config: ExperimentConfig) -> BeSweepResult:
         rows.append(
             BeSweepRow(
                 n=summary.n,
-                size=summary.size,
+                K=summary.K,
                 ks_distance=summary.ks_distance,
                 bound_shape=shape,
                 ratio=summary.ks_distance / shape,
@@ -390,7 +400,11 @@ def run_be_sweep(config: ExperimentConfig) -> BeSweepResult:
         else:
             hard += 1
     return BeSweepResult(
-        rows=tuple(rows), noise_band=band, noise_inversions=noise, hard_violations=hard
+        rows=tuple(rows),
+        noise_band=band,
+        noise_inversions=noise,
+        hard_violations=hard,
+        ks_nonincreasing=hard == 0 and noise <= 1,
     )
 
 
@@ -429,8 +443,8 @@ def run_mdp(config: ExperimentConfig) -> list[MdpCell]:
         cells.append(
             MdpCell(
                 n=n,
-                size=pmf.size,
-                scale=b,
+                K=pmf.size,
+                b_n=b,
                 threshold=threshold,
                 replicates_used=m_used,
                 exceedances=exceedances,

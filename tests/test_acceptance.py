@@ -79,7 +79,7 @@ def clt_experiment():
 def clt_replicates(clt_experiment):
     """The criterion-5 replicates regenerated one by one for direct inspection."""
     config, summary, _ = clt_experiment
-    pmf = build_family(FamilySpec(HARMONIC, summary.size))
+    pmf = build_family(FamilySpec(HARMONIC, summary.K))
     pop = population_summary(pmf)
     seeds = derive_stream_seeds(config.master_seed, 0, config.replicates)
     reports = []
@@ -179,7 +179,7 @@ def test_criterion_05_clt_ks_distance(clt_experiment):
     report(
         5,
         ok,
-        f"K={summary.size}, n={summary.n}, M={summary.replicates}: "
+        f"K={summary.K}, n={summary.n}, M={summary.replicates}: "
         f"KS={summary.ks_distance:.4f} <= 0.08, {elapsed:.2f} s",
     )
 

@@ -1,8 +1,12 @@
 import ast
 import csv
+import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -257,6 +261,7 @@ class TestCltCommand:
             ("n_grid", [500.0]),
             ("family", 5),
             ("K_rule", 8),
+            pytest.param("delta", 10**400, id="delta-beyond-float-range"),
         ],
     )
     def test_wrongly_typed_config_value_is_config_error(self, tmp_path, capsys, key, value):
@@ -268,7 +273,7 @@ class TestCltCommand:
         assert key in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["mdp_rho", "mdp_eps", "mdp_r"])
-    @pytest.mark.parametrize("value", ["0.1", True, [0.1]])
+    @pytest.mark.parametrize("value", ["0.1", True, [0.1], pytest.param(10**400, id="beyond-float-range")])
     def test_wrongly_typed_mdp_value_is_config_error(self, tmp_path, capsys, key, value):
         config = {
             "family": "harmonic",
@@ -337,6 +342,20 @@ class TestAlphabetCap:
         assert run_cli(args) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert f"K rule {rule}" in err and f"K={size} at n={n}" in err
+
+
+class TestSamplerDomain:
+    @pytest.mark.parametrize(
+        "command, rule, n",
+        [("clt", "fixed:10", (1 << 62) + 1), ("clt", "pow:0.3", 10**400), ("mdp", "fixed:10", 10**400)],
+        ids=("clt-2^62+1", "clt-pow-401-digits", "mdp-401-digits"),
+    )
+    def test_n_beyond_2_62_is_config_error(self, capsys, no_family_weights, command, rule, n):
+        args = [command, "--family", "harmonic", "--K-rule", rule, "--n-grid", str(n), "--reps", "100", "--seed", "1"]
+        if command == "mdp":
+            args += ["--mdp-rho", "0.1", "--mdp-eps", "1.0", "--mdp-r", "1.0"]
+        assert run_cli(args) == EXIT_CONFIG
+        assert "2^62" in capsys.readouterr().err
 
 
 class TestBeCommand:
@@ -460,6 +479,17 @@ class TestMdpCommand:
         assert code == EXIT_CONFIG
         assert "--mdp-rho" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value, setting",
+        [("--mdp-eps", "inf", "epsilon"), ("--mdp-r", "inf", "threshold r"), ("--mdp-r", "nan", "threshold r")],
+    )
+    def test_non_finite_setting_is_config_error(self, capsys, no_family_weights, flag, value, setting):
+        mdp_flags = {"--mdp-rho": "0.1", "--mdp-eps": "1.0", "--mdp-r": "1.0", flag: value}
+        args = ["mdp", "--family", "harmonic", "--K-rule", "fixed:10", "--n-grid", "1000", "--reps", "100", "--seed", "1"]
+        args += [text for pair in mdp_flags.items() for text in pair]
+        assert run_cli(args) == EXIT_CONFIG
+        assert f"{setting} must be finite" in capsys.readouterr().err
+
 
 def test_stdout_default_and_wall_time_on_stderr(capsys):
     assert run_cli(["describe", "--family", "uniform:4"]) == EXIT_OK
@@ -472,7 +502,9 @@ def test_stdout_default_and_wall_time_on_stderr(capsys):
 
 # sha256 of CLI outputs, recorded before the CSV exports were derived from
 # the JSON record and before the functionals shared one cached log pass;
-# they pin the be payload and the clt and be exports byte for byte.
+# they pin the be payload and the clt and be exports byte for byte.  The mdp
+# entry, one "ok" cell and one "infeasible" cell with null fields, was
+# recorded before the result records became the payload.
 BE_ARGS = [
     "be",
     "--family",
@@ -486,21 +518,68 @@ BE_ARGS = [
     "--seed",
     "3",
 ]
+MDP_ARGS = [
+    "mdp",
+    "--family",
+    "harmonic",
+    "--K-rule",
+    "fixed:10",
+    "--n-grid",
+    "1000,1000000",
+    "--reps",
+    "100",
+    "--seed",
+    "42",
+    "--mdp-rho",
+    "0.1",
+    "--mdp-eps",
+    "1.0",
+    "--mdp-r",
+    "1.0",
+]
 GOLDEN_OUTPUTS = (
     (CLT_ARGS, "87260216d6ff34ac249120f715cab20c19bea3ca123721638266c2f713585f33",
      "4162e44fe71ac781f517b09d67b69658a405ce9d73fd244fa4591de0af9988e9"),
     (BE_ARGS, "b7d1d58d4406473812eea3782340b97429924a58d0421efcc53746c07c8272e7",
      "46e55a44532b0a3ffcb7efb9bb6b348748e248178e0c912ca24d8ebfed674d9f"),
+    (MDP_ARGS, "cc71fb88d981aa77dc21821b1ffe25c870682bd41d60e63bf1b89fdc444e8fad",
+     "6c62bbfe765c8af5f46dbce959230a3f7536505d1800182b85b63c659d538935"),
 )
 
 
-@pytest.mark.parametrize("args, json_sha, csv_sha", GOLDEN_OUTPUTS, ids=("clt", "be"))
+@pytest.mark.parametrize("args, json_sha, csv_sha", GOLDEN_OUTPUTS, ids=("clt", "be", "mdp"))
 def test_payload_and_csv_match_recorded_hashes(tmp_path, args, json_sha, csv_sha):
     out = tmp_path / "out.json"
     csv_path = tmp_path / "out.csv"
     assert run_cli(args + ["--out", str(out), "--csv", str(csv_path)]) == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == json_sha
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == csv_sha
+
+
+def test_payload_keys_are_the_record_fields(tmp_path):
+    def names(record_type):
+        return [f.name for f in dataclasses.fields(record_type)]
+
+    results = {}
+    for args in (CLT_ARGS, BE_ARGS, MDP_ARGS):
+        out = tmp_path / f"{args[0]}.json"
+        assert run_cli(args + ["--out", str(out)]) == EXIT_OK
+        results[args[0]] = json.loads(out.read_text())["results"]
+    assert all(list(e) == names(montecarlo.EcdfSummary) for e in results["clt"]["experiments"])
+    assert list(results["be"]) == names(montecarlo.BeSweepResult)
+    assert all(list(r) == names(montecarlo.BeSweepRow) for r in results["be"]["rows"])
+    assert all(list(c) == names(montecarlo.MdpCell) for c in results["mdp"]["cells"])
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # concurrent.futures loads its process module on first use of
+    # ProcessPoolExecutor, which only a multi-process run reaches
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = "import sys, entrokit.cli; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def _trace_points():

@@ -94,6 +94,11 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="2\\^32"):
             small_config(replicates=(1 << 32) + 1)
 
+    def test_grid_cap_is_the_samplers_domain(self):
+        assert small_config(n_grid=(1 << 62,)).n_grid == (1 << 62,)
+        with pytest.raises(ConfigError, match="2\\^62"):
+            small_config(n_grid=((1 << 62) + 1,))
+
     def test_no_mdp_replicate_cap_below_the_stream_cap(self):
         assert small_config(replicates=200_001).replicates == 200_001
 
@@ -139,7 +144,7 @@ class TestRunClt:
                 super().__init__(max_workers=max_workers)
 
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(montecarlo.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         for replicates in (200, 600):
             cfg1 = small_config(replicates=replicates)
             cfg2 = small_config(replicates=replicates, workers=2)
@@ -149,7 +154,7 @@ class TestRunClt:
             assert np.array_equal(a.z_samples, b.z_samples)
             assert np.array_equal(a.z_samples, c.z_samples)
             assert a.ks_distance == b.ks_distance == c.ks_distance
-            assert a.mean_kl == c.mean_kl and a.mean_chi2 == c.mean_chi2
+            assert a.mean_kl_term == c.mean_kl_term and a.mean_chi2_term == c.mean_chi2_term
         assert pools == [2]
 
     def test_samplers_both_run(self):
@@ -168,8 +173,9 @@ class TestRunClt:
 
     def test_chi2_mean_tracks_identity(self):
         [s] = run_clt(small_config(replicates=2000, n_grid=(2000,)))
-        expected = (s.size - 1) / s.n
-        assert s.mean_chi2 == pytest.approx(expected, rel=0.15)
+        expected = (s.K - 1) / s.n
+        assert s.expected_chi2_mean == expected
+        assert s.mean_chi2_term == pytest.approx(expected, rel=0.15)
 
     def test_summary_fields_consistent(self):
         [s] = run_clt(small_config())
