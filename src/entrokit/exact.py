@@ -57,8 +57,8 @@ class MdpSchedule:
     """Moderate-deviation scale ``b_n = n^rho`` plus the event parameters.
 
     ``0 < rho < 1/2`` keeps ``b_n -> infinity`` while ``b_n/sqrt(n) -> 0``.
-    ``epsilon > 0`` and ``r >= 0`` must be finite; ``r = 0`` is allowed as
-    the trivial boundary (exceedance probability 1).
+    ``epsilon > 0``, ``r >= 0`` and ``r*r`` must be finite (so ``r*b_n`` is, for
+    n <= 2^62); ``r = 0`` is the trivial boundary (exceedance probability 1).
     """
 
     rho: float
@@ -70,8 +70,8 @@ class MdpSchedule:
             raise ValueError(f"rho must lie in (0, 1/2), got {self.rho}")
         if not 0.0 < self.epsilon < math.inf:
             raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
-        if not 0.0 <= self.r < math.inf:
-            raise ValueError(f"threshold r must be finite and >= 0, got {self.r}")
+        if not (self.r >= 0.0 and self.r * self.r < math.inf):
+            raise ValueError(f"threshold r must be finite and >= 0 with r*r finite, got {self.r}")
 
     def scale(self, n: int) -> float:
         """The deviation scale b_n evaluated at sample size n."""
@@ -275,6 +275,8 @@ def mdp_condition(pmf: Pmf, n: int, schedule: MdpSchedule) -> float:
     b = schedule.scale(n)
     exponents = -2.0 * schedule.epsilon * math.sqrt(n) * b * pop.sigma * pmf.probs**2
     peak = float(exponents.max())
+    if not math.isfinite(peak):
+        raise ValueError(f"mdp condition exponents overflow at epsilon={schedule.epsilon!r}, n={n}")
     log_sum = peak + math.log(_fsum(np.exp(exponents - peak)))
     return log_sum / b**2
 

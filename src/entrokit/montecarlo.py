@@ -11,10 +11,11 @@ Three experiment types over an alphabet-growth rule ``K(n)``:
 
 Standardization always uses the exact per-n entropy and sigma from the
 population functionals, never sample estimates.  Replicates are keyed by
-stream index (grid position * 2^32 + replicate), so results are
-bit-identical for a fixed master seed regardless of worker count; worker
-output is reduced in stream-index order.  Every replicate re-checks the
-decomposition identity and the KL/chi-square sandwich as it is consumed.
+stream index (grid position * 2^32 + replicate); a worker chunk is a range
+of consecutive indices, and chunks are joined in index order, so results
+are bit-identical for a fixed master seed at any worker count.  Every
+replicate re-checks the decomposition identity and the KL/chi-square
+sandwich as it is consumed.
 
 The result records (``EcdfSummary``, ``BeSweepResult``, ``BeSweepRow``,
 ``MdpCell``) are the CLI payload: their field names, in order, are its keys.
@@ -266,15 +267,13 @@ def ks_distance(sorted_samples: Sequence[float] | np.ndarray) -> float:
 
 
 def _replicate_chunk(
-    pmf: Pmf, n: int, sampler: str, seeds: list[int]
-) -> tuple[list[float], list[float], list[float]]:
-    """Worker body: simulate a block of replicates and return (z, kl, chi2) lists."""
+    pmf: Pmf, n: int, sampler: str, master_seed: int, first: int, count: int
+) -> np.ndarray:
+    """Worker body: the (z, kl, chi2) rows of stream indices ``first .. first+count-1``."""
     sample = sample_counts_categorical if sampler == "categorical" else sample_counts_multinomial
     h = entropy(pmf)
-    z_out: list[float] = []
-    kl_out: list[float] = []
-    chi2_out: list[float] = []
-    for seed in seeds:
+    rows = []
+    for seed in derive_stream_seeds(master_seed, first, count).tolist():
         counts = sample(pmf, n, seed)
         rep = decompose(counts, pmf)
         gap = rep.plugin_entropy - h
@@ -288,10 +287,8 @@ def _replicate_chunk(
                 f"KL/chi-square sandwich failed at n={n}, seed={seed}: "
                 f"kl={rep.kl_term!r}, chi2={rep.chi2_term!r}"
             )
-        z_out.append(rep.standardized)
-        kl_out.append(rep.kl_term)
-        chi2_out.append(rep.chi2_term)
-    return z_out, kl_out, chi2_out
+        rows.append((rep.standardized, rep.kl_term, rep.chi2_term))
+    return np.array(rows, dtype=np.float64)
 
 
 def _pool_size(workers: int, chunks: int) -> int:
@@ -300,22 +297,22 @@ def _pool_size(workers: int, chunks: int) -> int:
 
 
 def _simulate(
-    pmf: Pmf, n: int, seeds: np.ndarray, sampler: str, workers: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run one replicate block, in order, optionally across processes."""
-    seed_list = seeds.tolist()
-    chunks = [seed_list[lo : lo + _WORKER_CHUNK] for lo in range(0, len(seed_list), _WORKER_CHUNK)]
-    body = partial(_replicate_chunk, pmf, n, sampler)
-    processes = _pool_size(workers, len(chunks))
+    config: ExperimentConfig, pmf: Pmf, n: int, grid_index: int, count: int
+) -> np.ndarray:
+    """Replicates ``0 .. count-1`` of grid point ``grid_index`` as ``(count, 3)``
+    rows of (z, kl, chi2), optionally across processes: replicate j reads stream
+    index ``grid_index * 2^32 + j``, in chunks of ``_WORKER_CHUNK`` indices."""
+    first = grid_index * _GRID_STRIDE
+    starts = range(first, first + count, _WORKER_CHUNK)
+    sizes = [min(_WORKER_CHUNK, first + count - start) for start in starts]
+    body = partial(_replicate_chunk, pmf, n, config.sampler, config.master_seed)
+    processes = _pool_size(config.workers, len(sizes))
     if processes <= 1:
-        parts = [body(c) for c in chunks]
+        parts = list(map(body, starts, sizes))
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=processes) as pool:
-            parts = list(pool.map(body, chunks))
-    z = np.array([v for part in parts for v in part[0]], dtype=np.float64)
-    kl = np.array([v for part in parts for v in part[1]], dtype=np.float64)
-    chi2 = np.array([v for part in parts for v in part[2]], dtype=np.float64)
-    return z, kl, chi2
+            parts = list(pool.map(body, starts, sizes))
+    return np.concatenate(parts)
 
 
 def _grid_point(config: ExperimentConfig, n: int) -> tuple[Pmf, PopulationSummary]:
@@ -342,13 +339,12 @@ def _clt_points(config: ExperimentConfig) -> Iterator[tuple[Pmf, EcdfSummary]]:
     """Each grid point's Pmf with its standardized-statistic summary, in grid order."""
     for gi, n in enumerate(config.n_grid):
         pmf, pop = _grid_point(config, n)
-        seeds = derive_stream_seeds(config.master_seed, gi * _GRID_STRIDE, config.replicates)
-        z, kl, chi2 = _simulate(pmf, n, seeds, config.sampler, config.workers)
+        m = config.replicates
+        z, kl, chi2 = _simulate(config, pmf, n, gi, m).T
         z_sorted = np.sort(z)
         z_sorted.flags.writeable = False
-        m = len(z_sorted)
         mean = float(np.mean(z))
-        var = float(np.sum((z - mean) ** 2) / (m - 1)) if m > 1 else 0.0
+        var = float(np.sum((z - mean) ** 2) / (m - 1))
         yield pmf, EcdfSummary(
             n=n,
             K=pmf.size,
@@ -435,8 +431,7 @@ def run_mdp(config: ExperimentConfig) -> list[MdpCell]:
             m_used, exceedances, flag = 0, 0, "infeasible"
         else:
             m_used = max(config.replicates, needed)
-            seeds = derive_stream_seeds(config.master_seed, gi * _GRID_STRIDE, m_used)
-            z, _, _ = _simulate(pmf, n, seeds, config.sampler, config.workers)
+            z = _simulate(config, pmf, n, gi, m_used)[:, 0]
             exceedances = int(np.sum(np.abs(z) > threshold))
             flag = "ok" if exceedances else "no-exceedances"
         p_hat = exceedances / m_used if exceedances else None

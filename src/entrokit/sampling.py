@@ -33,10 +33,14 @@ each disagreed with libm on 3 to 21 of 20 000 random inputs, depending
 on the input range), and one such bit can flip an accept decision or an
 inversion step and so change the counts.
 
-The categorical sampler draws batches of at most ``_DRAW_BATCH`` symbols;
-in a batch of b draws starting after counter c, the cell uniforms are
-outputs c+1..c+b and the flip uniforms c+b+1..c+2b, exactly what two
-``uniforms(b)`` calls return.  Inside a batch the kernel works in
+Neither sampler has a failure branch: every suffix mass of a Pmf is
+positive (see :func:`_chain_plan`), so the chain never runs out of mass.
+
+An alias draw of n symbols, whether through :meth:`AliasTable.draw` or
+the categorical sampler, runs in batches of at most ``_DRAW_BATCH``
+symbols; in a batch of b draws starting after counter c, the cell
+uniforms are outputs c+1..c+b and the flip uniforms c+b+1..c+2b, exactly
+what two ``uniforms(b)`` calls return.  Inside a batch the kernel works in
 sub-blocks of ``_SUB_BLOCK`` draws on preallocated buffers (splitmix64 in
 place, from the table's ``arange * golden`` step plus a base word reduced
 in Python), so its memory does not grow with n.  It computes on
@@ -61,7 +65,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterator
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -99,10 +103,9 @@ _BLOCK = 512
 # The categorical kernel draws in sub-blocks of this many draws, so its
 # buffers stay in cache (about 0.5 MB in all) whatever n is.
 _SUB_BLOCK = 1 << 14
-
-
-class SamplingError(RuntimeError):
-    """Raised when a sampler cannot proceed; failures are never silent."""
+# Alias draws claim their cell and flip uniforms a batch of this many
+# draws at a time (a multiple of _SUB_BLOCK).
+_DRAW_BATCH = 1 << 20
 
 
 def _mix64(z: int) -> int:
@@ -313,13 +316,11 @@ class AliasTable:
     def _blocks(self, rng: CounterRng, count: int) -> Iterator[tuple[int, np.ndarray]]:
         """Draw ``count`` symbols sub-block by sub-block, as ``(offset, indices)``.
 
-        Draw j reads the stream outputs that ``rng.uniforms(count)`` would
-        return at position j, first for the cell and then, from a second
-        such call, for the flip.  Each ``indices`` array is a buffer view
-        that the next sub-block overwrites.
+        Per batch of up to ``_DRAW_BATCH`` draws, draw j reads output j of
+        ``rng.uniforms(batch)`` for the cell, then of a second such call for
+        the flip.  Each ``indices`` array is a buffer view that the next
+        sub-block overwrites.
         """
-        cell_first = rng._advance(count)
-        flip_first = rng._advance(count)
         size = min(count, _SUB_BLOCK)
         words = np.empty(size, dtype=np.uint64)
         scratch = np.empty(size, dtype=np.uint64)
@@ -327,14 +328,18 @@ class AliasTable:
         cell = np.empty(size, dtype=np.int64)
         keep = np.empty(size, dtype=np.bool_)
         for start in range(0, count, _SUB_BLOCK):
+            offset = start % _DRAW_BATCH
+            if offset == 0:
+                batch = min(count - start, _DRAW_BATCH)
+                cell_first, flip_first = rng._advance(batch), rng._advance(batch)
             length = min(count - start, _SUB_BLOCK)
             m, tmp, x, c, kept = (a[:length] for a in (words, scratch, scaled, cell, keep))
-            rng._mantissas(cell_first + start, m, tmp, self._step)
+            rng._mantissas(cell_first + offset, m, tmp, self._step)
             # m < 2^53, so its int64 view is the same value (and converts faster)
             np.multiply(m.view(np.int64), self._scale, out=x)
             np.copyto(c, x, casting="unsafe")
             np.minimum(c, self.size - 1, out=c)
-            rng._mantissas(flip_first + start, m, tmp, self._step)
+            rng._mantissas(flip_first + offset, m, tmp, self._step)
             # indices are in range by construction; "clip" skips the bounds pass
             np.take(self._cutoff, c, out=tmp, mode="clip")
             np.less(m, tmp, out=kept)
@@ -343,24 +348,8 @@ class AliasTable:
             yield start, np.take(self._pick, c, out=m.view(np.int64), mode="clip")
 
 
-class _ChainPlan(NamedTuple):
-    """Per-Pmf constants of the conditional-binomial chain.
-
-    ``cond[i]`` is ``p_i / tail_i`` for the chain cells ``0 .. K-2``, where
-    ``tail_i`` is the suffix mass of cells ``i..K-1``.  It is a memoryview
-    of a read-only float64 array: 8 bytes a cell, and iterating it yields
-    Python floats without numpy scalar indexing.  It stops early at the
-    first cell whose tail is not positive; ``underflow`` then holds that
-    ``(cell, tail)``.
-    """
-
-    cond: memoryview
-    underflow: tuple[int, float] | None
-
-
 _ALIAS_CACHE: "WeakKeyDictionary[Pmf, AliasTable]" = WeakKeyDictionary()
-_PLAN_CACHE: "WeakKeyDictionary[Pmf, _ChainPlan]" = WeakKeyDictionary()
-_DRAW_BATCH = 1 << 20
+_PLAN_CACHE: "WeakKeyDictionary[Pmf, memoryview]" = WeakKeyDictionary()
 
 
 def _alias_table(pmf: Pmf) -> AliasTable:
@@ -371,16 +360,17 @@ def _alias_table(pmf: Pmf) -> AliasTable:
     return table
 
 
-def _chain_plan(pmf: Pmf) -> _ChainPlan:
+def _chain_plan(pmf: Pmf) -> memoryview:
+    """The chain's ``p_i / tail_i`` for cells ``0 .. K-2`` (``tail_i`` is the
+    suffix mass of cells ``i..K-1``), as a memoryview of a read-only float64
+    array, which iterates as Python floats.  A float sum of positive terms
+    rounds to at least its largest term, so each ratio lies in (0, 1]."""
     plan = _PLAN_CACHE.get(pmf)
     if plan is None:
         tails = np.cumsum(pmf.probs[::-1])[::-1][:-1]
-        bad = np.flatnonzero(tails <= 0.0)
-        stop = int(bad[0]) if bad.size else tails.size
-        underflow = (stop, float(tails[stop])) if bad.size else None
-        cond = pmf.probs[:stop] / tails[:stop]
+        cond = pmf.probs[:-1] / tails
         cond.flags.writeable = False
-        plan = _ChainPlan(memoryview(cond), underflow)
+        plan = memoryview(cond)
         _PLAN_CACHE[pmf] = plan
     return plan
 
@@ -400,12 +390,8 @@ def sample_counts_categorical(pmf: Pmf, n: int, seed: int) -> CountVector:
     table = _alias_table(pmf)
     rng = CounterRng(seed)
     counts = np.zeros(pmf.size, dtype=np.int64)
-    remaining = n
-    while remaining > 0:
-        batch = min(remaining, _DRAW_BATCH)
-        for _, block in table._blocks(rng, batch):
-            np.add.at(counts, block, 1)
-        remaining -= batch
+    for _, block in table._blocks(rng, n):
+        np.add.at(counts, block, 1)
     return _frozen_counts(counts, n)
 
 
@@ -413,29 +399,20 @@ def sample_counts_multinomial(pmf: Pmf, n: int, seed: int) -> CountVector:
     """Count vector via the conditional-binomial chain, O(K) per replicate.
 
     Cell i given the earlier cells is Binomial(remaining_n, p_i / tail_i)
-    where tail_i is the precomputed suffix mass.  Deterministic given
-    ``seed``; raises :class:`SamplingError` if the remaining mass ever
-    underflows while draws are still owed (never silently).
+    where tail_i is the precomputed suffix mass; the last cell takes the
+    draws that remain.  Deterministic given ``seed``.
     """
     _check_total(n)
-    plan = _chain_plan(pmf)
     rng = CounterRng(seed)
     counts = [0] * pmf.size
     remaining = n
-    for i, p_cond in enumerate(plan.cond):
+    for i, p_cond in enumerate(_chain_plan(pmf)):
         if remaining == 0:
             break
         c = _binomial(remaining, p_cond, rng)
         counts[i] = c
         remaining -= c
-    if remaining:
-        if plan.underflow is not None:
-            cell, tail = plan.underflow
-            raise SamplingError(
-                f"remaining mass underflowed to {tail!r} at cell {cell} with "
-                f"{remaining} draws outstanding"
-            )
-        counts[-1] = remaining
+    counts[-1] = remaining
     return _frozen_counts(np.array(counts, dtype=np.int64), n)
 
 

@@ -490,6 +490,20 @@ class TestMdpCommand:
         assert run_cli(args) == EXIT_CONFIG
         assert f"{setting} must be finite" in capsys.readouterr().err
 
+    def test_r_with_an_overflowing_square_is_config_error(self, capsys, no_family_weights):
+        # r = 1e200 is finite, but r*r and the rate target -r^2/2 are not
+        args = ["mdp", "--family", "harmonic", "--K-rule", "fixed:2", "--n-grid", "1000", "--reps", "100", "--seed", "1"]
+        args += ["--mdp-rho", "0.1", "--mdp-eps", "1.0", "--mdp-r", "1e200"]
+        assert run_cli(args) == EXIT_CONFIG
+        assert "threshold r must be finite and >= 0 with r*r finite" in capsys.readouterr().err
+
+    def test_eps_overflowing_the_condition_is_config_error(self, capsys):
+        # every exponent of the summability condition overflows to -inf
+        args = ["mdp", "--family", "harmonic", "--K-rule", "fixed:2", "--n-grid", "1000", "--reps", "100", "--seed", "1"]
+        args += ["--mdp-rho", "0.1", "--mdp-eps", "1e308", "--mdp-r", "1.0"]
+        assert run_cli(args) == EXIT_CONFIG
+        assert "epsilon=1e+308, n=1000" in capsys.readouterr().err
+
 
 def test_stdout_default_and_wall_time_on_stderr(capsys):
     assert run_cli(["describe", "--family", "uniform:4"]) == EXIT_OK

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from entrokit.alphabet import FamilySpec, build_family
+from entrokit.estimator import decompose
 from entrokit.exact import DegenerateVarianceError, MdpSchedule
 from entrokit.montecarlo import (
     ConfigError,
@@ -18,7 +20,7 @@ from entrokit.montecarlo import (
     run_mdp,
 )
 from entrokit import montecarlo
-from entrokit.sampling import CounterRng
+from entrokit.sampling import CounterRng, derive_stream_seeds, sample_counts_multinomial
 
 
 def small_config(**overrides):
@@ -156,6 +158,19 @@ class TestRunClt:
             assert a.ks_distance == b.ks_distance == c.ks_distance
             assert a.mean_kl_term == c.mean_kl_term and a.mean_chi2_term == c.mean_chi2_term
         assert pools == [2]
+
+    def test_grid_point_one_reads_its_stream_range_at_any_worker_count(self, monkeypatch):
+        # 600 replicates are three chunks; grid point 1 owns stream indices 2^32 ..
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        serial = run_clt(small_config(n_grid=(300, 500), replicates=600))
+        pooled = run_clt(small_config(n_grid=(300, 500), replicates=600, workers=2))
+        for a, b in zip(serial, pooled):
+            assert np.array_equal(a.z_samples, b.z_samples)
+            assert a.mean_kl_term == b.mean_kl_term and a.mean_chi2_term == b.mean_chi2_term
+        pmf = build_family(FamilySpec("harmonic", 8))
+        seeds = derive_stream_seeds(11, 2**32, 600).tolist()
+        z = [decompose(sample_counts_multinomial(pmf, 500, seed), pmf).standardized for seed in seeds]
+        assert np.array_equal(serial[1].z_samples, np.sort(z))
 
     def test_samplers_both_run(self):
         for sampler in ("categorical", "multinomial"):

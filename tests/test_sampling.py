@@ -20,15 +20,12 @@ from entrokit.sampling import (
     AliasTable,
     CounterRng,
     CountVector,
-    SamplingError,
     SeedSpec,
     _binomial,
     _binomial_btrs,
     _binomial_inversion,
     _chain_plan,
-    _ChainPlan,
     _mix64,
-    _PLAN_CACHE,
     _alias_table,
     _mix64_array,
     derive_stream_seed,
@@ -290,13 +287,28 @@ class TestChainGolden:
         pmf = build_family(FamilySpec(HARMONIC, 7))
         plan = _chain_plan(pmf)
         assert _chain_plan(pmf) is plan
-        assert len(plan.cond) == 6 and plan.underflow is None
+        assert len(plan) == 6
 
-    def test_underflowed_tail_raises_at_its_cell(self):
-        pmf = build_family(FamilySpec(HARMONIC, 4))
-        _PLAN_CACHE[pmf] = _ChainPlan(memoryview(np.array([0.25])), (1, 0.0))
-        with pytest.raises(SamplingError, match="underflowed to 0.0 at cell 1 with"):
-            sample_counts_multinomial(pmf, 10**6, 3)
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "expgeom:700",
+            "harmonic:1000000",
+            "logharmonic:1000000",
+            "uniform:1",
+            "harmonic:2",
+            # subnormal entries at both ends and in the middle of the tails
+            (5e-324, 0.5, 1e-310, 0.5, 2e-320, 5e-324),
+        ],
+        ids=lambda spec: spec if isinstance(spec, str) else "subnormal",
+    )
+    def test_every_ratio_lies_in_the_unit_interval(self, spec):
+        # p_i / tail_i with tail_i >= p_i > 0, so no cell's mass can underflow
+        pmf = _golden_pmf(spec)
+        ratios = np.asarray(_chain_plan(pmf))
+        assert ratios.size == pmf.size - 1
+        assert np.all(np.isfinite(ratios))
+        assert np.all(ratios > 0.0) and np.all(ratios <= 1.0)
 
 
 class TestBinomialSampler:
@@ -424,6 +436,14 @@ class TestCategoricalKernel:
         rng.uniform(), rng.uniform(), rng.uniform()
         parts += [table.draw(rng, 40_001), table.draw(rng, 1)]
         assert _sha256_i8(np.concatenate(parts)) == GOLDEN_DRAW
+
+    def test_draw_shares_the_samplers_batch_layout(self):
+        # n crosses _DRAW_BATCH, where each batch claims its own cell and flip uniforms
+        pmf = build_family(FamilySpec(HARMONIC, 1000))
+        n = _DRAW_BATCH + 3
+        drawn = AliasTable(pmf.probs).draw(CounterRng(7), n)
+        counts = sample_counts_categorical(pmf, n, 7).counts
+        assert np.array_equal(np.bincount(drawn, minlength=pmf.size), counts)
 
     def test_draw_matches_the_float_reference(self):
         # random Pmfs with tiny and near-1 thresholds, counts across sub-blocks,
