@@ -21,7 +21,8 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -41,8 +42,8 @@ _INPUT_SUM_TOL = 1e-9
 _NUMBER_TYPES = (int, float, np.integer, np.floating)
 # Largest alphabet a FamilySpec, and so any experiment grid point, may ask
 # for: each float64 vector over it takes 80 MB, and a describe call at this
-# size peaks near 340 MB resident (about 31 bytes per cell, measured at
-# K = 1e6 to 4e6, over an interpreter of about 31 MB).
+# size peaks near 192 MB resident (about 16 bytes per cell, p and ln p,
+# over an interpreter of about 30 MB).
 MAX_ALPHABET_SIZE = 10_000_000
 
 
@@ -51,50 +52,69 @@ class PmfError(ValueError):
 
 
 # _fsum: arrays shorter than _FSUM_MIN_SIZE go to math.fsum, which is faster
-# there (the two cross near 1400 values).  Longer ones are summed in blocks of
-# _FSUM_BLOCK values with two 128 KB work buffers, extracting 53 - _FSUM_LIFT
-# bits per pass.  Below _FSUM_MAX_ABS, fewer than 2^60 terms cannot bring any
+# there (the two cross near 1400 values).  Longer ones, and every _fsum_terms
+# stream, are summed in blocks of _FSUM_BLOCK values with two 128 KB work
+# buffers, extracting 53 - _FSUM_LIFT bits per pass.  Below _FSUM_MAX_ABS, fewer than 2^60 terms cannot bring any
 # partial sum near overflow.
 _FSUM_MIN_SIZE = 2048
 _FSUM_BLOCK = 1 << 14
 _FSUM_LIFT = _FSUM_BLOCK.bit_length()  # every block holds fewer than 2^_FSUM_LIFT values
 _FSUM_MAX_ABS = 2.0**960
-# Every extracted block sum is a multiple of 2^-_FSUM_UNIT (see _fsum).
+# Every extracted block sum is a multiple of 2^-_FSUM_UNIT (see _fsum_terms).
 _FSUM_UNIT = 1126
 
 
 def _fsum(values: np.ndarray) -> float:
     """Exactly rounded sum of a float64 array: the float ``math.fsum`` returns.
 
-    Arrays of at least ``_FSUM_MIN_SIZE`` finite values below 2^960 in
-    magnitude are summed exactly by error-free extraction (Rump, Ogita and
-    Oishi, "Accurate floating-point summation part I", 2008), a block of
-    ``b`` values at a time.  With ``max|x| <= 2^e`` and
-    ``sigma = 2^(e + _FSUM_LIFT)``, ``q = (x + sigma) - sigma`` is ``x``
-    rounded to a multiple of ``2^(e + _FSUM_LIFT - 53)``, exactly, and the
-    remainder ``x - q`` is exact and at most that unit in magnitude.  As
-    ``|q| <= 2^e`` and ``b < 2^_FSUM_LIFT``, every partial sum of the ``q``
-    is a multiple of the unit smaller than ``sigma``, so ``np.sum(q)`` is
-    exact in any order.  The sum joins a Python-int total in units of
-    2^-1126, which no unit undercuts: the remainders are all zero once the
-    unit falls below 2^-1074, the spacing of the subnormals.  Until then
-    the remainders go through the next pass, with ``e`` lowered to the unit.
-    One correctly rounded int/int division gives the result.  Shorter
-    arrays, arrays holding an infinity, a NaN or a value near the overflow
-    range, and sums that are exactly zero (whose sign math.fsum decides)
-    go to ``math.fsum`` over the array's buffer, which also raises its
-    ``OverflowError`` and ``ValueError``.
+    Arrays shorter than ``_FSUM_MIN_SIZE`` go to ``math.fsum`` over the
+    array's buffer; longer ones to :func:`_fsum_terms`, a slice at a time.
     """
     if values.size < _FSUM_MIN_SIZE:
         return math.fsum(values.data)
-    q_buf = np.empty(min(values.size, _FSUM_BLOCK))
+    # a default, not a closure: a cell for values would slow the short path
+    return _fsum_terms(lambda a, b, values=values: values[a:b], values.size)
+
+
+def _fsum_terms(term: Callable[[int, int], np.ndarray], size: int) -> float:
+    """Exactly rounded sum of ``size`` float64 terms, pulled a block at a time.
+
+    ``term(a, b)`` returns terms ``a..b-1`` as a float64 array; it is called
+    for consecutive blocks of at most ``_FSUM_BLOCK`` terms, so no caller
+    needs all ``size`` terms in memory at once.  The result is the float
+    ``math.fsum`` returns on the concatenated terms.  Fewer than
+    ``_FSUM_MIN_SIZE`` terms go to ``math.fsum`` as one block.
+
+    Blocks of finite values below 2^960 in magnitude are summed exactly by
+    error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
+    summation part I", 2008), a block of ``b`` values at a time.  With
+    ``max|x| <= 2^e`` and ``sigma = 2^(e + _FSUM_LIFT)``,
+    ``q = (x + sigma) - sigma`` is ``x`` rounded to a multiple of
+    ``2^(e + _FSUM_LIFT - 53)``, exactly, and the remainder ``x - q`` is
+    exact and at most that unit in magnitude.  As ``|q| <= 2^e`` and
+    ``b < 2^_FSUM_LIFT``, every partial sum of the ``q`` is a multiple of
+    the unit smaller than ``sigma``, so ``np.sum(q)`` is exact in any order.
+    The sum joins a Python-int total in units of 2^-1126, which no unit
+    undercuts: the remainders are all zero once the unit falls below
+    2^-1074, the spacing of the subnormals.  Until then the remainders go
+    through the next pass, with ``e`` lowered to the unit.  One correctly
+    rounded int/int division gives the result.  Terms holding an infinity,
+    a NaN or a value near the overflow range, and sums that are exactly
+    zero (whose sign math.fsum decides) go to ``math.fsum`` over the terms,
+    streamed again from ``term``, which also raises its ``OverflowError``
+    and ``ValueError``.
+    """
+    if size < _FSUM_MIN_SIZE:
+        return math.fsum(term(0, size).data)
+    blocks = [(start, min(start + _FSUM_BLOCK, size)) for start in range(0, size, _FSUM_BLOCK)]
+    q_buf = np.empty(min(size, _FSUM_BLOCK))
     r_buf = np.empty_like(q_buf)
     total = 0
-    for start in range(0, values.size, _FSUM_BLOCK):
-        x = values[start : start + _FSUM_BLOCK]
+    for start, stop in blocks:
+        x = term(start, stop)
         lo, hi = x.min(), x.max()
         if not (-_FSUM_MAX_ABS < lo and hi < _FSUM_MAX_ABS):
-            return math.fsum(values.data)
+            break
         q, r = q_buf[: x.size], r_buf[: x.size]
         k = math.frexp(max(-lo, hi))[1] + _FSUM_LIFT  # sigma = 2^k, the unit 2^(k-53)
         while True:
@@ -107,9 +127,10 @@ def _fsum(values: np.ndarray) -> float:
                 break
             x = r
             k -= 53 - _FSUM_LIFT
-    if total == 0:
-        return math.fsum(values.data)
-    return total / (1 << _FSUM_UNIT)
+    else:  # every block was extracted
+        if total:
+            return total / (1 << _FSUM_UNIT)
+    return math.fsum(chain.from_iterable(term(start, stop).data for start, stop in blocks))
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,9 +217,12 @@ def family_weights(kind: str, size: int) -> np.ndarray:
     if kind == EXP_GEOMETRIC:
         return np.exp(-np.arange(1, size + 1, dtype=np.float64))
     if kind == LOG_HARMONIC:
-        # Exposed positions 1..K map to internal indices 2..K+1.
+        # Exposed positions 1..K map to internal indices 2..K+1.  Built in
+        # place, so no more than two K-vectors are alive at once.
         idx = np.arange(2, size + 2, dtype=np.float64)
-        return 1.0 / (idx * np.log(idx))
+        weights = np.log(idx)
+        weights *= idx
+        return np.divide(1.0, weights, out=weights)
     if kind == UNIFORM:
         return np.ones(size, dtype=np.float64)
     raise PmfError(f"family {kind!r} has no closed-form weights")
@@ -224,7 +248,8 @@ def build_family(spec: FamilySpec) -> Pmf:
             f"reduce the alphabet size (full support is required)"
         )
     normalizer = _fsum(weights)
-    return Pmf(weights / normalizer, normalizer=normalizer)
+    weights /= normalizer
+    return Pmf(weights, normalizer=normalizer)
 
 
 def validate_pmf(probs: Sequence[float] | Iterable[float]) -> Pmf:

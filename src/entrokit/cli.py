@@ -169,7 +169,7 @@ _SETTINGS = (
     _Setting("family", "string", None, "parametric family kind (harmonic|expgeom|logharmonic|uniform)"),
     _Setting("K_rule", "string", None, "alphabet rule: fixed:K | pow:kappa | logpow:kappa"),
     _Setting("n_grid", "grid", None, "comma-separated sample sizes, strictly increasing"),
-    _Setting("reps", "integer", None, "replicates per grid point (>= 100, <= 2^32)"),
+    _Setting("reps", "integer", None, "replicates per grid point (>= 100, <= 2^24)"),
     _Setting("seed", "integer", None, "64-bit master seed (required; no silent default)"),
     _Setting("delta", "number", 1.0, "moment exponent offset in [0, 1] (default 1)"),
     _Setting("sampler", "string", "multinomial", "categorical | multinomial (default multinomial)"),

@@ -5,13 +5,15 @@ Shannon entropy, the variance of the log-probability, absolute central
 moments of the linearization variable ``T = -ln p(X) - H``, exponential
 moments of ``|T|/sigma``, Lindeberg truncation residuals, the
 Berry-Esseen bound shape and the moderate-deviation summability value.
-Sums are correctly rounded (``alphabet._fsum``: the float ``math.fsum``
-returns, by error-free extraction on long arrays); the moderate-deviation
-value is evaluated in log space.
+Sums are correctly rounded (``alphabet._fsum_terms``: the float
+``math.fsum`` returns, by error-free extraction); each sum pulls its terms
+a block at a time, so no functional builds a K-length array of terms.  The
+moderate-deviation value is evaluated in log space.
 
-Every functional reads one :class:`LogLaw` per Pmf: ``ln p``, the
-centered ``ln p + H`` and the population summary, computed in a single
-pass on first use and cached for as long as the Pmf lives.
+Every functional reads one :class:`LogLaw` per Pmf: ``ln p`` and the
+population summary, computed in a single log pass on first use and cached
+for as long as the Pmf lives.  ``ln p + H`` is formed block by block where
+a sum needs it.
 
 Unknown absolute constants in the bound shapes are fixed to 1: the
 Monte Carlo layer only ever checks shapes (ratio boundedness and
@@ -27,7 +29,7 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from .alphabet import Pmf, _fsum
+from .alphabet import Pmf, _fsum, _fsum_terms
 
 # Variance this close to zero is rounding noise from a constant log-probability;
 # clamp to exactly 0 and treat the distribution as degenerate.
@@ -94,12 +96,11 @@ def _require_positive(name: str, value: float) -> None:
 class LogLaw:
     """The law of ``T = -ln p(X) - H`` for one Pmf.
 
-    ``logp`` and ``centered = logp + H`` are read-only float64 vectors;
-    ``centered`` is ``-T`` symbol by symbol.
+    ``logp`` is a read-only float64 vector; ``T`` is ``-(logp + H)``
+    symbol by symbol, with ``H = summary.entropy``.
     """
 
     logp: np.ndarray
-    centered: np.ndarray
     summary: PopulationSummary
 
 
@@ -119,15 +120,20 @@ def log_law(pmf: Pmf) -> LogLaw:
     if law is None:
         p = pmf.probs
         logp = np.log(p)
-        h = -_fsum(p * logp)
-        centered = logp + h
-        sigma2 = _fsum(p * centered * centered)
+        logp.flags.writeable = False
+        h = -_fsum_terms(lambda a, b: p[a:b] * logp[a:b], p.size)
+
+        def spread(a: int, b: int) -> np.ndarray:
+            centered = logp[a:b] + h
+            t = p[a:b] * centered
+            t *= centered
+            return t
+
+        sigma2 = _fsum_terms(spread, p.size)
         if sigma2 < _DEGENERATE_SIGMA2_TOL:
             sigma2 = 0.0
-        logp.flags.writeable = False
-        centered.flags.writeable = False
         summary = PopulationSummary(entropy=h, sigma2=sigma2, sigma=math.sqrt(sigma2), size=pmf.size)
-        law = LogLaw(logp, centered, summary)
+        law = LogLaw(logp, summary)
         _LAW_CACHE[pmf] = law
     return law
 
@@ -159,10 +165,17 @@ def abs_central_moment(pmf: Pmf, delta: float) -> float:
     variance ``sigma^2`` exactly.
     """
     delta = _check_delta(delta)
-    t = np.abs(log_law(pmf).centered)
-    t **= 2.0 + delta
-    t *= pmf.probs
-    return _fsum(t)
+    law = log_law(pmf)
+    p, logp, h = pmf.probs, law.logp, law.summary.entropy
+
+    def term(a: int, b: int) -> np.ndarray:
+        t = logp[a:b] + h
+        np.abs(t, out=t)
+        t **= 2.0 + delta
+        t *= p[a:b]
+        return t
+
+    return _fsum_terms(term, p.size)
 
 
 def split_moment_bound(pmf: Pmf, delta: float) -> float:
@@ -174,11 +187,15 @@ def split_moment_bound(pmf: Pmf, delta: float) -> float:
     """
     delta = _check_delta(delta)
     law = log_law(pmf)
-    h = law.summary.entropy
-    t = np.abs(law.logp)
-    t **= 2.0 + delta
-    t *= pmf.probs
-    return _fsum(t) + h ** (2.0 + delta)
+    p, logp, h = pmf.probs, law.logp, law.summary.entropy
+
+    def term(a: int, b: int) -> np.ndarray:
+        t = np.abs(logp[a:b])
+        t **= 2.0 + delta
+        t *= p[a:b]
+        return t
+
+    return _fsum_terms(term, p.size) + h ** (2.0 + delta)
 
 
 def exp_moment(pmf: Pmf, delta: float) -> float:
@@ -188,14 +205,19 @@ def exp_moment(pmf: Pmf, delta: float) -> float:
     """
     _require_positive("delta", delta)
     law = _require_sigma(pmf)
-    # in place: one temporary of K floats instead of three
-    t = np.abs(law.centered)
-    with np.errstate(over="ignore"):
+    p, logp, pop = pmf.probs, law.logp, law.summary
+
+    def term(a: int, b: int) -> np.ndarray:
+        t = logp[a:b] + pop.entropy
+        np.abs(t, out=t)
         t *= delta
-        t /= law.summary.sigma
+        t /= pop.sigma
         np.exp(t, out=t)
-        t *= pmf.probs
-    return _fsum(t)
+        t *= p[a:b]
+        return t
+
+    with np.errstate(over="ignore"):
+        return _fsum_terms(term, p.size)
 
 
 def exp_moment_envelope(pmf: Pmf, delta: float) -> float:
@@ -218,7 +240,7 @@ def exp_moment_envelope(pmf: Pmf, delta: float) -> float:
         )
     p = pmf.probs
     with np.errstate(over="ignore"):
-        power_sum = _fsum(p ** (1.0 - ratio))
+        power_sum = _fsum_terms(lambda a, b: p[a:b] ** (1.0 - ratio), p.size)
         return power_sum * math.exp(ratio * pop.entropy)
 
 
@@ -235,7 +257,7 @@ def lindeberg_residual(pmf: Pmf, n: int, epsilon: float) -> float:
     law = _require_sigma(pmf)
     pop = law.summary
     p = pmf.probs
-    centered = law.centered
+    centered = law.logp + pop.entropy
     threshold = epsilon * math.sqrt(n) * pop.sigma
     mask = np.abs(centered) > threshold
     if not np.any(mask):
@@ -273,11 +295,14 @@ def mdp_condition(pmf: Pmf, n: int, schedule: MdpSchedule) -> float:
         raise ValueError(f"sample size must be >= 1, got {n}")
     pop = _require_sigma(pmf).summary
     b = schedule.scale(n)
-    exponents = -2.0 * schedule.epsilon * math.sqrt(n) * b * pop.sigma * pmf.probs**2
-    peak = float(exponents.max())
+    p = pmf.probs
+    scale = -2.0 * schedule.epsilon * math.sqrt(n) * b * pop.sigma
+    # scale < 0 and rounding is monotone, so the smallest p gives the largest exponent.
+    pmin = float(p.min())
+    peak = scale * (pmin * pmin)
     if not math.isfinite(peak):
         raise ValueError(f"mdp condition exponents overflow at epsilon={schedule.epsilon!r}, n={n}")
-    log_sum = peak + math.log(_fsum(np.exp(exponents - peak)))
+    log_sum = peak + math.log(_fsum_terms(lambda i, j: np.exp(scale * p[i:j] ** 2 - peak), p.size))
     return log_sum / b**2
 
 

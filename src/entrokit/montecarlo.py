@@ -66,6 +66,9 @@ PARAMETRIC_FAMILIES = (HARMONIC, EXP_GEOMETRIC, LOG_HARMONIC, UNIFORM)
 
 # Replicate streams: grid point g owns indices [g * 2^32, (g+1) * 2^32).
 _GRID_STRIDE = 1 << 32
+# A run holds about 180 bytes per replicate of a grid point (about 3 GB at
+# this cap), so it uses only the first 2^24 streams of each.
+_MAX_REPLICATES = 1 << 24
 # Identity |(plugin - H) - (linear - kl)| must close to this per replicate.
 _IDENTITY_TOL = 1e-12
 # Upper quantile multiplier of the KS null distribution, used as the
@@ -164,10 +167,8 @@ class ExperimentConfig:
             raise ConfigError(
                 f"replicates must be >= 100 for any distributional summary, got {self.replicates}"
             )
-        if self.replicates > _GRID_STRIDE:
-            raise ConfigError(
-                f"replicates must be <= 2^32, the streams of one grid point, got {self.replicates}"
-            )
+        if self.replicates > _MAX_REPLICATES:
+            raise ConfigError(f"replicates must be <= 2^24 per grid point, got {self.replicates}")
         if not 0 <= self.master_seed <= (1 << 64) - 1:
             raise ConfigError("master_seed must be a 64-bit unsigned integer")
         if not 0.0 <= self.delta <= 1.0:

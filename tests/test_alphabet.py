@@ -1,6 +1,7 @@
 import json
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from entrokit.alphabet import (
     Pmf,
     PmfError,
     _fsum,
+    _fsum_terms,
     build_family,
+    family_weights,
     load_custom_pmf,
     parse_family,
     pmf_from_json,
@@ -77,6 +80,23 @@ class TestBuildFamily:
         # e^-i is exactly zero past i ~ 745; full support forbids silent zeros
         with pytest.raises(PmfError, match="underflow"):
             build_family(FamilySpec(EXP_GEOMETRIC, 10**3))
+
+    def test_logharmonic_weights_built_in_place_are_the_textbook_expression(self):
+        idx = np.arange(2, 100_002, dtype=np.float64)
+        assert family_weights(LOG_HARMONIC, 100_000).tolist() == (1.0 / (idx * np.log(idx))).tolist()
+
+    @pytest.mark.parametrize(
+        "kind, size", [(HARMONIC, 1 << 20), (EXP_GEOMETRIC, 745), (LOG_HARMONIC, 1 << 20), (UNIFORM, 1 << 20)]
+    )
+    def test_build_holds_at_most_two_vectors(self, kind, size):
+        # the weights, divided in place, and the Pmf's own read-only copy
+        tracemalloc.start()
+        try:
+            build_family(FamilySpec(kind, size))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.25 * 8 * size
 
     def test_harmonic_strictly_decreasing(self):
         pmf = build_family(FamilySpec(HARMONIC, 100))
@@ -239,12 +259,22 @@ def _fsum_block_corpus():
         yield f"poszeros-{size}", np.zeros(size)
 
 
+def _fsum_streamed(values):
+    # a fresh array per block, so each fallback to math.fsum streams the terms again
+    return _fsum_terms(lambda a, b: values[a:b].copy(), values.size)
+
+
 @pytest.mark.parametrize(
-    "name, values", [*_fsum_corpus(), *_fsum_block_corpus()], ids=lambda v: v if isinstance(v, str) else ""
+    "values, summer",
+    [
+        pytest.param(values, summer, id=f"{name}-{label}")
+        for name, values in (*_fsum_corpus(), *_fsum_block_corpus())
+        for summer, label in ((_fsum, ""), (_fsum_streamed, "streamed"))
+    ],
 )
-def test_fsum_matches_math_fsum(name, values):
+def test_fsum_matches_math_fsum(values, summer):
     # the same float bit for bit (sign of zero included), or the same error type
-    assert _outcome(_fsum, values) == _outcome(lambda v: math.fsum(v.tolist()), values)
+    assert _outcome(summer, values) == _outcome(lambda v: math.fsum(v.tolist()), values)
 
 
 def test_fsum_blocks_sum_pmf_functionals_exactly():

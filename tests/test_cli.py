@@ -138,6 +138,15 @@ class TestExperimentValidation:
         )
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("command", ["clt", "mdp"])
+    def test_replicates_beyond_the_cap_are_config_error(self, capsys, no_family_weights, command):
+        args = [command, "--family", "harmonic", "--K-rule", "fixed:8", "--n-grid", "500", "--seed", "1"]
+        args += ["--reps", str((1 << 24) + 1)]
+        if command == "mdp":
+            args += ["--mdp-rho", "0.1", "--mdp-eps", "1.0", "--mdp-r", "1.0"]
+        assert run_cli(args) == EXIT_CONFIG
+        assert "replicates must be <= 2^24 per grid point" in capsys.readouterr().err
+
     def test_uniform_family_degenerate_exit(self, capsys):
         code = run_cli(
             [

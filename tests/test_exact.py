@@ -98,16 +98,62 @@ class TestLogLaw:
             tracemalloc.stop()
         assert peak < 1.5 * 8 * pmf.size
 
+    def test_functionals_hold_only_the_log_vector(self):
+        # ln p is the one K-vector kept; every sum pulls its terms a block at a time
+        pmf = build_family(FamilySpec(HARMONIC, 1 << 20))
+        tracemalloc.start()
+        try:
+            log_law(pmf)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                for fn in (abs_central_moment, split_moment_bound, exp_moment, exp_moment_envelope):
+                    fn(pmf, 1.0)
+            mdp_condition(pmf, 10**6, MdpSchedule(rho=0.2, epsilon=1.0, r=0.5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 8 * pmf.size
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            FamilySpec(HARMONIC, 7),
+            FamilySpec(HARMONIC, 100_000),
+            FamilySpec(EXP_GEOMETRIC, 700),
+            FamilySpec(LOG_HARMONIC, 3000),
+        ],
+    )
+    def test_streamed_sums_are_the_whole_array_sums(self, spec):
+        # reference: each functional's elementwise terms built as one K-vector, then math.fsum
+        pmf = build_family(spec)
+        p, delta = pmf.probs, 0.5
+        logp = np.log(p)
+        h = -math.fsum((p * logp).tolist())
+        centered = logp + h
+        pop = population_summary(pmf)
+        assert (pop.entropy, pop.sigma2) == (h, math.fsum((p * centered * centered).tolist()))
+        assert abs_central_moment(pmf, delta) == math.fsum((np.abs(centered) ** (2.0 + delta) * p).tolist())
+        split = math.fsum((np.abs(logp) ** (2.0 + delta) * p).tolist()) + h ** (2.0 + delta)
+        assert split_moment_bound(pmf, delta) == split
+        assert exp_moment(pmf, delta) == math.fsum((np.exp(np.abs(centered) * delta / pop.sigma) * p).tolist())
+        ratio = delta / pop.sigma
+        envelope = math.fsum((p ** (1.0 - ratio)).tolist()) * math.exp(ratio * h)
+        assert exp_moment_envelope(pmf, delta) == envelope
+        schedule, n = MdpSchedule(rho=0.2, epsilon=1.0, r=0.5), 10**6
+        b = schedule.scale(n)
+        exponents = -2.0 * schedule.epsilon * math.sqrt(n) * b * pop.sigma * p**2
+        peak = float(exponents.max())
+        log_sum = peak + math.log(math.fsum(np.exp(exponents - peak).tolist()))
+        assert mdp_condition(pmf, n, schedule) == log_sum / b**2
+
     def test_arrays_are_read_only_and_consistent(self):
         pmf = validate_pmf((0.5, 0.25, 0.25))
         law = log_law(pmf)
         assert law is log_law(pmf)
-        for arr in (law.logp, law.centered):
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr[0] = 0.0
+        assert not law.logp.flags.writeable
+        with pytest.raises(ValueError):
+            law.logp[0] = 0.0
         assert law.logp.tolist() == np.log(pmf.probs).tolist()
-        assert law.centered.tolist() == (law.logp + law.summary.entropy).tolist()
 
     def test_cache_entry_dies_with_its_pmf(self):
         pmf = build_family(FamilySpec(HARMONIC, 50))

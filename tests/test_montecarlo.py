@@ -91,10 +91,10 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="delta"):
             small_config(delta=1.5)
 
-    def test_replicate_cap_is_one_grid_point_of_streams(self):
-        assert small_config(replicates=1 << 32).replicates == 1 << 32
-        with pytest.raises(ConfigError, match="2\\^32"):
-            small_config(replicates=(1 << 32) + 1)
+    def test_replicate_cap_bounds_the_memory_of_a_grid_point(self):
+        assert small_config(replicates=1 << 24).replicates == 1 << 24
+        with pytest.raises(ConfigError, match="2\\^24"):
+            small_config(replicates=(1 << 24) + 1)
 
     def test_grid_cap_is_the_samplers_domain(self):
         assert small_config(n_grid=(1 << 62,)).n_grid == (1 << 62,)
