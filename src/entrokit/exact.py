@@ -226,7 +226,7 @@ def exp_moment_envelope(pmf: Pmf, delta: float) -> float:
     Always >= :func:`exp_moment` (triangle inequality on ``|T|``).  When
     ``delta/sigma >= 1`` the power sum has a nonpositive exponent and can
     blow up with the alphabet; a warning is issued but the finite-K value
-    is still returned.
+    is still returned.  A value beyond float range returns ``inf``.
     """
     _require_positive("delta", delta)
     pop = _require_sigma(pmf).summary
@@ -241,7 +241,10 @@ def exp_moment_envelope(pmf: Pmf, delta: float) -> float:
     p = pmf.probs
     with np.errstate(over="ignore"):
         power_sum = _fsum_terms(lambda a, b: p[a:b] ** (1.0 - ratio), p.size)
+    try:
         return power_sum * math.exp(ratio * pop.entropy)
+    except OverflowError:
+        return math.inf
 
 
 def lindeberg_residual(pmf: Pmf, n: int, epsilon: float) -> float:

@@ -21,31 +21,34 @@ The binomial sampler inside the chain uses CDF inversion for
 ``n*p <= 30`` and Hormann's BTRS transformed rejection above; both are
 exact samplers, not approximations.
 
-The chain is a scalar loop over cells.  Its uniforms come from numpy
-blocks of the same counter stream, consumed one at a time (see
-:class:`CounterRng`); its per-cell conditional probabilities are computed
-once per Pmf and cached; BTRS sets up its log acceptance test only when
-a proposal misses the squeeze.  The chain's logs, lgammas and powers
-stay on libm (``math.log``, ``math.lgamma``, ``**``) and are never moved
-to numpy: numpy's SIMD ``power`` and ``log`` are not correctly rounded
-and differ from libm in the last bit on some inputs (on an AVX-512 Xeon,
-each disagreed with libm on 3 to 21 of 20 000 random inputs, depending
-on the input range), and one such bit can flip an accept decision or an
+The chain is one loop over cells, and each cell's draw runs in the loop
+itself; only CDF inversion is a helper.  Its uniforms come through one
+stream iterator (:func:`_stream_blocks`), one C call per draw: the first
+outputs mixed in Python in pairs, then lists made from numpy blocks of
+the same counter stream.  :class:`CounterRng` is the batched stream only.
+The per-cell conditional probabilities are computed once per Pmf and
+cached; BTRS sets up its log acceptance test only when a proposal misses
+the squeeze.  The chain's logs, lgammas and powers stay on libm
+(``math.log``, ``math.lgamma``, ``**``) and are never moved to numpy:
+numpy's SIMD ``power`` and ``log`` are not correctly rounded and differ
+from libm in the last bit on some inputs (on an AVX-512 Xeon, each
+disagreed with libm on 3 to 21 of 20 000 random inputs, depending on the
+input range), and one such bit can flip an accept decision or an
 inversion step and so change the counts.
 
 Neither sampler has a failure branch: every suffix mass of a Pmf is
 positive (see :func:`_chain_plan`), so the chain never runs out of mass.
 
-An alias draw of n symbols, whether through :meth:`AliasTable.draw` or
-the categorical sampler, runs in batches of at most ``_DRAW_BATCH``
-symbols; in a batch of b draws starting after counter c, the cell
-uniforms are outputs c+1..c+b and the flip uniforms c+b+1..c+2b, exactly
-what two ``uniforms(b)`` calls return.  Inside a batch the kernel works in
-sub-blocks of ``_SUB_BLOCK`` draws on preallocated buffers (splitmix64 in
-place, from the table's ``arange * golden`` step plus a base word reduced
-in Python), so its memory does not grow with n.  It computes on
-the 53-bit integers ``m`` behind the uniforms ``m * 2^-53``, and both of
-its rewrites give the same bits as the float formulation:
+An alias draw of n symbols (:meth:`AliasTable._blocks`) runs in batches
+of at most ``_DRAW_BATCH`` symbols; in a batch of b draws starting after
+counter c, the cell uniforms are outputs c+1..c+b and the flip uniforms
+c+b+1..c+2b, exactly what two ``uniforms(b)`` calls return.  Inside a
+batch the kernel works in sub-blocks of ``_SUB_BLOCK`` draws on
+preallocated buffers (splitmix64 in place, from the table's
+``arange * golden`` step plus a base word reduced in Python), so its
+memory does not grow with n.  It computes on the 53-bit integers ``m``
+behind the uniforms ``m * 2^-53``, and both of its rewrites give the
+same bits as the float formulation:
 
 * the cell ``floor(m * (K * 2^-53))`` equals ``floor((m * 2^-53) * K)``:
   ``m * 2^-53`` and ``K * 2^-53`` are exact (scaling by a power of two),
@@ -63,8 +66,10 @@ O(K) each time).
 
 from __future__ import annotations
 
-import math
+from array import array
 from dataclasses import dataclass
+from itertools import chain, count
+from math import floor, lgamma, log, sqrt
 from typing import Iterator
 from weakref import WeakKeyDictionary
 
@@ -95,10 +100,12 @@ _U64_MIX_A = np.uint64(_MIX_A)
 _U64_MIX_B = np.uint64(_MIX_B)
 _TWO_NEG_53 = 2.0**-53
 
-# CounterRng.uniform(): scalar mixing for the first draws of a stream
-# (a K=2 chain needs a handful), then numpy blocks of a fixed size.
+# The chain's stream: scalar mixing for the first draws (a K=2 chain needs
+# a handful; an even count, so the pairs fill it), then numpy blocks of a
+# fixed size.
 _SCALAR_DRAWS = 8
 _BLOCK = 512
+_BLOCK_STEP = np.arange(_BLOCK, dtype=np.uint64) * np.uint64(_GOLDEN)
 
 # The categorical kernel draws in sub-blocks of this many draws, so its
 # buffers stay in cache (about 0.5 MB in all) whatever n is.
@@ -133,35 +140,18 @@ def _mix64_array(z: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
     return z
 
 
-@dataclass(frozen=True)
-class SeedSpec:
-    """Master seed plus a stream index; the derived stream seed is a pure function of both."""
-
-    master_seed: int
-    stream_index: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.master_seed <= _MASK64:
-            raise ValueError("master_seed must be a 64-bit unsigned integer")
-        if self.stream_index < 0:
-            raise ValueError("stream_index must be nonnegative")
-
-
-def derive_stream_seed(spec: SeedSpec) -> int:
-    """Avalanche-mix (master_seed, stream_index) into a 64-bit stream seed.
-
-    Distinct stream indices give distinct seeds for a fixed master seed:
-    every step (odd-multiplier index scramble, xor, splitmix finalizer)
-    is a bijection on 64-bit words.
-    """
-    h_master = _mix64((spec.master_seed + _GOLDEN) & _MASK64)
-    h_index = _mix64((spec.stream_index * _STREAM_MULT + _STREAM_SALT) & _MASK64)
-    return _mix64(h_master ^ h_index)
-
-
 def derive_stream_seeds(master_seed: int, start: int, count: int) -> np.ndarray:
-    """Batched :func:`derive_stream_seed` for indices ``start .. start+count-1``."""
-    SeedSpec(master_seed, start)
+    """The 64-bit seeds of streams ``start .. start+count-1`` under ``master_seed``.
+
+    Seed i avalanche-mixes ``(master_seed, i)``; distinct stream indices
+    give distinct seeds for a fixed master seed, because every step
+    (odd-multiplier index scramble, xor, splitmix finalizer) is a
+    bijection on 64-bit words.
+    """
+    if not 0 <= master_seed <= _MASK64:
+        raise ValueError("master_seed must be a 64-bit unsigned integer")
+    if start < 0:
+        raise ValueError("stream_index must be nonnegative")
     idx = np.arange(start, start + count, dtype=np.uint64)
     h_master = np.uint64(_mix64((master_seed + _GOLDEN) & _MASK64))
     h_index = _mix64_array(idx * np.uint64(_STREAM_MULT) + np.uint64(_STREAM_SALT))
@@ -169,40 +159,20 @@ def derive_stream_seeds(master_seed: int, start: int, count: int) -> np.ndarray:
 
 
 class CounterRng:
-    """Counter-mode splitmix64 uniform stream.
+    """Counter-mode splitmix64 uniform stream, drawn in batches.
 
-    Output ``i`` equals ``mix64(seed + (i+1) * golden)``; the scalar and
-    batched paths advance the same counter and agree bit for bit.
-
-    The first ``_SCALAR_DRAWS`` scalar draws are mixed one at a time, so a
-    short stream never pays for a numpy call.  Later scalar draws pop
-    from a block of the next ``_BLOCK`` outputs made by the batched path.
-    ``_counter`` counts consumed outputs; :meth:`uniforms` drops the
-    block, so any interleaving of the two calls yields one stream.
+    Output ``i`` (1-based) equals ``mix64(seed + i * golden) * 2^-53``
+    after dropping the word's low 11 bits.  ``_counter`` counts claimed
+    outputs, so successive :meth:`uniforms` calls continue one stream.
     """
 
-    __slots__ = ("_key", "_counter", "_buffer")
+    __slots__ = ("_key", "_counter")
 
     def __init__(self, stream_seed: int):
         if not 0 <= stream_seed <= _MASK64:
             raise ValueError("stream_seed must be a 64-bit unsigned integer")
         self._key = int(stream_seed)
         self._counter = 0
-        self._buffer: list[float] = []  # upcoming outputs, next one last
-
-    def uniform(self) -> float:
-        """One double in [0, 1) with 53 random bits."""
-        self._counter += 1
-        if self._buffer:
-            return self._buffer.pop()
-        if self._counter <= _SCALAR_DRAWS:
-            z = _mix64(self._key + self._counter * _GOLDEN)
-            return (z >> 11) * _TWO_NEG_53
-        words = self._mantissas(self._counter, np.empty(_BLOCK, dtype=np.uint64))
-        block = (words * _TWO_NEG_53)[::-1].tolist()
-        value = block.pop()
-        self._buffer = block
-        return value
 
     def uniforms(self, count: int) -> np.ndarray:
         """A batch of doubles in [0, 1)."""
@@ -210,7 +180,6 @@ class CounterRng:
 
     def _advance(self, count: int) -> int:
         """Claim the next ``count`` outputs; returns the first one's counter."""
-        self._buffer = []
         first = self._counter + 1
         self._counter += count
         return first
@@ -220,7 +189,7 @@ class CounterRng:
     ) -> np.ndarray:
         """Fill ``z`` with the 53-bit integers ``m`` of outputs ``first,
         first+1, ...`` (1-based counters); output = ``m * 2^-53``.  Every
-        stream word is made here.
+        stream word past the first ``_SCALAR_DRAWS`` is made here.
 
         ``step`` holds ``j * golden`` (mod 2^64) for ``j = 0, 1, ...`` and
         is at least as long as ``z``; it is built when not given.  The base
@@ -232,6 +201,25 @@ class CounterRng:
         np.add(step[: z.size], np.uint64((self._key + first * _GOLDEN) & _MASK64), out=z)
         _mix64_array(z, tmp)
         return np.right_shift(z, _U64_11, out=z)
+
+
+def _stream_blocks(seed: int) -> Iterator[list[float]]:
+    """Outputs 1, 2, ... of stream ``seed`` (a Python int in [0, 2^64)), as lists of floats.
+
+    The first ``_SCALAR_DRAWS`` outputs are mixed in Python two at a time
+    (BTRS reads its uniforms in pairs), so a short stream makes no numpy
+    call and builds no :class:`CounterRng`; the rest come in lists of
+    ``_BLOCK`` made by :meth:`CounterRng._mantissas`.  Chained with
+    ``itertools.chain.from_iterable``, each output costs one C call.
+    """
+    for i in range(1, _SCALAR_DRAWS + 1, 2):
+        z0, z1 = _mix64(seed + i * _GOLDEN), _mix64(seed + (i + 1) * _GOLDEN)
+        yield [(z0 >> 11) * _TWO_NEG_53, (z1 >> 11) * _TWO_NEG_53]
+    rng = CounterRng(seed)
+    words = np.empty(_BLOCK, dtype=np.uint64)
+    tmp = np.empty(_BLOCK, dtype=np.uint64)
+    for first in count(_SCALAR_DRAWS + 1, _BLOCK):
+        yield (rng._mantissas(first, words, tmp, _BLOCK_STEP) * _TWO_NEG_53).tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,35 +271,13 @@ class AliasTable:
 
     def __init__(self, probs: np.ndarray):
         k = int(probs.size)
-        scaled = np.asarray(probs, dtype=np.float64) * k
         self.size = k
-        threshold = np.ones(k, dtype=np.float64)
-        alias = np.arange(k, dtype=np.int64)
-        small = [i for i in range(k) if scaled[i] < 1.0]
-        large = [i for i in range(k) if scaled[i] >= 1.0]
-        while small and large:
-            s = small.pop()
-            g = large.pop()
-            threshold[s] = scaled[s]
-            alias[s] = g
-            scaled[g] -= 1.0 - scaled[s]
-            if scaled[g] < 1.0:
-                small.append(g)
-            else:
-                large.append(g)
-        # Leftovers (either list) carry threshold 1 = always themselves.
+        threshold, alias = _vose(np.asarray(probs, dtype=np.float64) * k)
         self._cutoff = np.ceil(threshold * 2.0**53).astype(np.uint64)
         self._pick = np.stack((alias, np.arange(k, dtype=np.int64)), axis=1).ravel()
         self._scale = k * _TWO_NEG_53
         # counter-word offsets j * golden of one sub-block, for every draw call
         self._step = np.arange(_SUB_BLOCK, dtype=np.uint64) * np.uint64(_GOLDEN)
-
-    def draw(self, rng: CounterRng, count: int) -> np.ndarray:
-        """Sample ``count`` symbol indices (two uniforms per draw)."""
-        out = np.empty(count, dtype=np.int64)
-        for start, block in self._blocks(rng, count):
-            out[start : start + block.size] = block
-        return out
 
     def _blocks(self, rng: CounterRng, count: int) -> Iterator[tuple[int, np.ndarray]]:
         """Draw ``count`` symbols sub-block by sub-block, as ``(offset, indices)``.
@@ -346,6 +312,33 @@ class AliasTable:
             np.left_shift(c, 1, out=c)
             np.add(c, kept, out=c)
             yield start, np.take(self._pick, c, out=m.view(np.int64), mode="clip")
+
+
+def _vose(scaled_probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vose's alias construction over ``K * p``: each cell's threshold and alias.
+
+    The loop runs on array.array buffers (8 bytes a cell each): their items
+    read and write as Python floats and ints, the same IEEE operations as
+    on numpy scalars at a fraction of the cost per item.  Cells left on
+    either stack keep threshold 1 (always themselves).
+    """
+    k = scaled_probs.size
+    small = array("q", np.flatnonzero(scaled_probs < 1.0).astype(np.int64, copy=False).tobytes())
+    large = array("q", np.flatnonzero(scaled_probs >= 1.0).astype(np.int64, copy=False).tobytes())
+    threshold = array("d", np.ones(k).tobytes())
+    alias = array("q", np.arange(k, dtype=np.int64).tobytes())
+    scaled = array("d", scaled_probs.tobytes())
+    while small and large:
+        s = small.pop()
+        g = large.pop()
+        threshold[s] = scaled[s]
+        alias[s] = g
+        scaled[g] -= 1.0 - scaled[s]
+        if scaled[g] < 1.0:
+            small.append(g)
+        else:
+            large.append(g)
+    return np.frombuffer(threshold), np.frombuffer(alias, dtype=np.int64)
 
 
 _ALIAS_CACHE: "WeakKeyDictionary[Pmf, AliasTable]" = WeakKeyDictionary()
@@ -398,37 +391,69 @@ def sample_counts_categorical(pmf: Pmf, n: int, seed: int) -> CountVector:
 def sample_counts_multinomial(pmf: Pmf, n: int, seed: int) -> CountVector:
     """Count vector via the conditional-binomial chain, O(K) per replicate.
 
-    Cell i given the earlier cells is Binomial(remaining_n, p_i / tail_i)
+    Cell i given the earlier cells is Binomial(remaining, p_i / tail_i)
     where tail_i is the precomputed suffix mass; the last cell takes the
     draws that remain.  Deterministic given ``seed``.
+
+    Each cell's draw is exact and runs in the loop itself: a ratio of 1
+    takes every remaining draw; above 1/2 the complement is drawn; CDF
+    inversion serves ``remaining * p <= 30`` and Hormann's BTRS above
+    (valid for p <= 1/2 and n*p >= 10).  The BTRS squeeze accepts ~86% of
+    proposals without evaluating logs; the log test's constants are
+    computed only when a proposal first reaches it.
     """
     _check_total(n)
-    rng = CounterRng(seed)
+    if not 0 <= seed <= _MASK64:
+        raise ValueError("stream_seed must be a 64-bit unsigned integer")
+    draw = chain.from_iterable(_stream_blocks(int(seed))).__next__
     counts = [0] * pmf.size
     remaining = n
-    for i, p_cond in enumerate(_chain_plan(pmf)):
+    for i, p in enumerate(_chain_plan(pmf)):
         if remaining == 0:
             break
-        c = _binomial(remaining, p_cond, rng)
-        counts[i] = c
-        remaining -= c
+        if p >= 1.0:
+            counts[i] = remaining
+            remaining = 0
+            break
+        flipped = p > 0.5
+        if flipped:
+            p = 1.0 - p
+        mean = remaining * p
+        if mean <= _INVERSION_CUTOFF:
+            x = _binomial_inversion(remaining, p, draw())
+        else:
+            q = 1.0 - p
+            spq = sqrt(mean * q)
+            b = 1.15 + 2.53 * spq
+            a = -0.0873 + 0.0248 * b + 0.01 * p
+            c = mean + 0.5
+            v_r = 0.92 - 4.2 / b
+            h = None  # the log test's constants, computed once a proposal needs them
+            while True:
+                u = draw() - 0.5
+                v = draw()
+                us = 0.5 - abs(u)
+                if us <= 0.0:
+                    continue
+                x = floor((2.0 * a / us + b) * u + c)
+                if x < 0 or x > remaining:
+                    continue
+                if us >= 0.07 and v <= v_r or v <= 0.0:
+                    break
+                if h is None:
+                    alpha = (2.83 + 5.1 / b) * spq
+                    lpq = log(p / q)
+                    m = floor((remaining + 1) * p)
+                    h = lgamma(m + 1) + lgamma(remaining - m + 1)
+                log_accept = h - lgamma(x + 1) - lgamma(remaining - x + 1) + (x - m) * lpq
+                if log(v * alpha / (a / (us * us) + b)) <= log_accept:
+                    break
+        if flipped:
+            x = remaining - x
+        counts[i] = x
+        remaining -= x
     counts[-1] = remaining
     return _frozen_counts(np.array(counts, dtype=np.int64), n)
-
-
-def _binomial(n: int, p: float, rng: CounterRng) -> int:
-    """Exact Binomial(n, p) draw: inversion for n*p <= 30, BTRS above."""
-    if p <= 0.0:
-        return 0
-    if p >= 1.0:
-        return n
-    flipped = p > 0.5
-    p_eff = 1.0 - p if flipped else p
-    if n * p_eff <= _INVERSION_CUTOFF:
-        x = _binomial_inversion(n, p_eff, rng.uniform())
-    else:
-        x = _binomial_btrs(n, p_eff, rng)
-    return n - x if flipped else x
 
 
 def _binomial_inversion(n: int, p: float, u: float) -> int:
@@ -444,42 +469,3 @@ def _binomial_inversion(n: int, p: float, u: float) -> int:
         prob *= a / x - s
         cdf += prob
     return x
-
-
-def _binomial_btrs(n: int, p: float, rng: CounterRng) -> int:
-    """Hormann's BTRS transformed-rejection binomial sampler.
-
-    Valid for p <= 1/2 and n*p >= 10 (callers switch to inversion well
-    before that).  The squeeze step accepts ~86% of proposals without
-    evaluating logs; the log test's constants are computed only when a
-    proposal first reaches it.
-    """
-    q = 1.0 - p
-    spq = math.sqrt(n * p * q)
-    b = 1.15 + 2.53 * spq
-    a = -0.0873 + 0.0248 * b + 0.01 * p
-    c = n * p + 0.5
-    v_r = 0.92 - 4.2 / b
-    h = None  # the log test's constants, computed once a proposal needs them
-    uniform = rng.uniform
-    while True:
-        u = uniform() - 0.5
-        v = uniform()
-        us = 0.5 - abs(u)
-        if us <= 0.0:
-            continue
-        k = math.floor((2.0 * a / us + b) * u + c)
-        if k < 0 or k > n:
-            continue
-        if us >= 0.07 and v <= v_r:
-            return k
-        if v <= 0.0:
-            return k
-        if h is None:
-            alpha = (2.83 + 5.1 / b) * spq
-            lpq = math.log(p / q)
-            m = math.floor((n + 1) * p)
-            h = math.lgamma(m + 1) + math.lgamma(n - m + 1)
-        log_accept = h - math.lgamma(k + 1) - math.lgamma(n - k + 1) + (k - m) * lpq
-        if math.log(v * alpha / (a / (us * us) + b)) <= log_accept:
-            return k

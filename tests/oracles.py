@@ -3,16 +3,37 @@
 These deliberately take different routes from the library: population
 functionals are summed term by term in 40-digit arithmetic with the
 uncentered variance formula, and the normal CDF comes from composite
-Simpson quadrature of the density.  Production code never imports this
-module.
+Simpson quadrature of the density.  The sampling references are the
+scalar forms the library's batched code must reproduce bit for bit: the
+one-uniform-at-a-time stream, the conditional-binomial chain built from
+separate binomial draws, the scalar stream-seed formula and the alias
+draw into one array.  Production code never imports this module.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
+
+from entrokit.alphabet import Pmf
+from entrokit.sampling import (
+    _BLOCK,
+    _GOLDEN,
+    _INVERSION_CUTOFF,
+    _MASK64,
+    _SCALAR_DRAWS,
+    _STREAM_MULT,
+    _STREAM_SALT,
+    _TWO_NEG_53,
+    AliasTable,
+    CounterRng,
+    _binomial_inversion,
+    _chain_plan,
+    _mix64,
+)
 
 _DPS = 40
 
@@ -84,3 +105,135 @@ def random_pmf(rng: np.random.Generator, size: int):
     """A strictly positive random distribution (never degenerate in practice)."""
     weights = rng.gamma(shape=1.0, scale=1.0, size=size) + 1e-6
     return weights / weights.sum()
+
+
+@dataclass(frozen=True)
+class SeedSpec:
+    """Master seed plus a stream index; the derived stream seed is a pure function of both."""
+
+    master_seed: int
+    stream_index: int
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.master_seed <= _MASK64:
+            raise ValueError("master_seed must be a 64-bit unsigned integer")
+        if self.stream_index < 0:
+            raise ValueError("stream_index must be nonnegative")
+
+
+def derive_stream_seed(spec: SeedSpec) -> int:
+    """Scalar form of ``derive_stream_seeds``: one seed, on Python ints."""
+    h_master = _mix64((spec.master_seed + _GOLDEN) & _MASK64)
+    h_index = _mix64((spec.stream_index * _STREAM_MULT + _STREAM_SALT) & _MASK64)
+    return _mix64(h_master ^ h_index)
+
+
+class ScalarRng(CounterRng):
+    """A :class:`CounterRng` that also hands out its outputs one at a time.
+
+    The first ``_SCALAR_DRAWS`` scalar draws are mixed one at a time.
+    Later scalar draws pop from a block of the next ``_BLOCK`` outputs
+    made by the batched path.  ``uniforms`` drops the block, so any
+    interleaving of the two calls yields one stream.
+    """
+
+    __slots__ = ("_buffer",)
+
+    def __init__(self, stream_seed: int):
+        super().__init__(stream_seed)
+        self._buffer: list[float] = []  # upcoming outputs, next one last
+
+    def uniform(self) -> float:
+        """One double in [0, 1) with 53 random bits."""
+        self._counter += 1
+        if self._buffer:
+            return self._buffer.pop()
+        if self._counter <= _SCALAR_DRAWS:
+            z = _mix64(self._key + self._counter * _GOLDEN)
+            return (z >> 11) * _TWO_NEG_53
+        words = self._mantissas(self._counter, np.empty(_BLOCK, dtype=np.uint64))
+        block = (words * _TWO_NEG_53)[::-1].tolist()
+        value = block.pop()
+        self._buffer = block
+        return value
+
+    def _advance(self, count: int) -> int:
+        self._buffer = []
+        return super()._advance(count)
+
+
+def _binomial(n: int, p: float, rng: ScalarRng) -> int:
+    """Exact Binomial(n, p) draw: inversion for n*p <= 30, BTRS above."""
+    if p <= 0.0:
+        return 0
+    if p >= 1.0:
+        return n
+    flipped = p > 0.5
+    p_eff = 1.0 - p if flipped else p
+    if n * p_eff <= _INVERSION_CUTOFF:
+        x = _binomial_inversion(n, p_eff, rng.uniform())
+    else:
+        x = _binomial_btrs(n, p_eff, rng)
+    return n - x if flipped else x
+
+
+def _binomial_btrs(n: int, p: float, rng: ScalarRng) -> int:
+    """Hormann's BTRS transformed-rejection binomial sampler.
+
+    Valid for p <= 1/2 and n*p >= 10 (callers switch to inversion well
+    before that).  The squeeze step accepts ~86% of proposals without
+    evaluating logs; the log test's constants are computed only when a
+    proposal first reaches it.
+    """
+    q = 1.0 - p
+    spq = math.sqrt(n * p * q)
+    b = 1.15 + 2.53 * spq
+    a = -0.0873 + 0.0248 * b + 0.01 * p
+    c = n * p + 0.5
+    v_r = 0.92 - 4.2 / b
+    h = None  # the log test's constants, computed once a proposal needs them
+    uniform = rng.uniform
+    while True:
+        u = uniform() - 0.5
+        v = uniform()
+        us = 0.5 - abs(u)
+        if us <= 0.0:
+            continue
+        k = math.floor((2.0 * a / us + b) * u + c)
+        if k < 0 or k > n:
+            continue
+        if us >= 0.07 and v <= v_r:
+            return k
+        if v <= 0.0:
+            return k
+        if h is None:
+            alpha = (2.83 + 5.1 / b) * spq
+            lpq = math.log(p / q)
+            m = math.floor((n + 1) * p)
+            h = math.lgamma(m + 1) + math.lgamma(n - m + 1)
+        log_accept = h - math.lgamma(k + 1) - math.lgamma(n - k + 1) + (k - m) * lpq
+        if math.log(v * alpha / (a / (us * us) + b)) <= log_accept:
+            return k
+
+
+def chain_counts(pmf: Pmf, n: int, seed: int) -> list[int]:
+    """The conditional-binomial chain as one :func:`_binomial` call per cell."""
+    rng = ScalarRng(seed)
+    counts = [0] * pmf.size
+    remaining = n
+    for i, p_cond in enumerate(_chain_plan(pmf)):
+        if remaining == 0:
+            break
+        c = _binomial(remaining, p_cond, rng)
+        counts[i] = c
+        remaining -= c
+    counts[-1] = remaining
+    return counts
+
+
+def alias_draw(table: AliasTable, rng: CounterRng, count: int) -> np.ndarray:
+    """Sample ``count`` symbol indices into one array (two uniforms per draw)."""
+    out = np.empty(count, dtype=np.int64)
+    for start, block in table._blocks(rng, count):
+        out[start : start + block.size] = block
+    return out

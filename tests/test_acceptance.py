@@ -42,8 +42,6 @@ from entrokit.montecarlo import (
     run_mdp,
 )
 from entrokit.sampling import (
-    SeedSpec,
-    derive_stream_seed,
     derive_stream_seeds,
     sample_counts_categorical,
     sample_counts_multinomial,
@@ -280,8 +278,7 @@ def test_criterion_10_sampler_cross_validation():
     pools = []
     for offset, sample in ((0, sample_counts_categorical), (1 << 40, sample_counts_multinomial)):
         totals = np.zeros(pmf.size, dtype=np.int64)
-        for j in range(reps):
-            seed = derive_stream_seed(SeedSpec(MASTER_SEED, offset + j))
+        for seed in derive_stream_seeds(MASTER_SEED, offset, reps).tolist():
             totals += sample(pmf, n, seed).counts
         pools.append(totals.astype(np.float64))
     a, b = pools

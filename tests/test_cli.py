@@ -81,6 +81,15 @@ class TestDescribe:
         assert run_cli(["describe", "--family", f"custom:{probs}", "--out", str(out)]) == EXIT_OK
         assert json.loads(out.read_text())["results"]["K"] == 2
 
+    def test_envelope_overflow_is_null_with_a_note(self, tmp_path):
+        probs = tmp_path / "f.json"
+        probs.write_text("[0.500001, 0.499999]")
+        out = tmp_path / "o.json"
+        assert run_cli(["describe", "--family", f"custom:{probs}", "--out", str(out)]) == EXIT_OK
+        results = json.loads(out.read_text())["results"]
+        assert results["exp_moment_envelope"] is None
+        assert "exponential moment overflowed float range for this delta" in results["notes"]
+
     def test_parse_failure_is_config_error(self, capsys):
         assert run_cli(["describe", "--family", "harmonic"]) == EXIT_CONFIG
         assert "error" in capsys.readouterr().err

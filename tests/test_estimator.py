@@ -6,7 +6,7 @@ import pytest
 from entrokit.alphabet import FamilySpec, HARMONIC, UNIFORM, build_family, validate_pmf
 from entrokit.estimator import decompose, empirical_pmf, plugin_entropy
 from entrokit.exact import population_summary
-from entrokit.sampling import CountVector, SeedSpec, derive_stream_seed, sample_counts_multinomial
+from entrokit.sampling import CountVector, derive_stream_seeds, sample_counts_multinomial
 
 from oracles import mp_entropy, mp_sigma2, random_pmf
 
@@ -130,8 +130,8 @@ def replicated():
     n, reps = 100, 10_000
     plugins = np.empty(reps)
     chi2s = np.empty(reps)
-    for j in range(reps):
-        counts = sample_counts_multinomial(pmf, n, derive_stream_seed(SeedSpec(606, j)))
+    for j, seed in enumerate(derive_stream_seeds(606, 0, reps).tolist()):
+        counts = sample_counts_multinomial(pmf, n, seed)
         rep = decompose(counts, pmf)
         plugins[j] = rep.plugin_entropy
         chi2s[j] = rep.chi2_term

@@ -317,6 +317,12 @@ class TestExpMomentEnvelope:
             mp_exp_envelope(pmf.probs, 0.2), rel=1e-11
         )
 
+    def test_overflow_beyond_float_range_is_inf(self):
+        # sigma ~ 2e-6, so exp(delta * H / sigma) overflows a double
+        pmf = validate_pmf((0.500001, 0.499999))
+        with pytest.warns(RuntimeWarning, match="delta/sigma"):
+            assert exp_moment_envelope(pmf, 1.0) == math.inf
+
     def test_warns_when_exponent_not_controlled(self):
         pmf = validate_pmf((0.9, 0.1))
         with pytest.warns(RuntimeWarning, match="delta/sigma"):

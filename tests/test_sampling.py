@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 import time
@@ -20,18 +21,24 @@ from entrokit.sampling import (
     AliasTable,
     CounterRng,
     CountVector,
-    SeedSpec,
-    _binomial,
-    _binomial_btrs,
     _binomial_inversion,
     _chain_plan,
     _mix64,
     _alias_table,
     _mix64_array,
-    derive_stream_seed,
+    _stream_blocks,
     derive_stream_seeds,
     sample_counts_categorical,
     sample_counts_multinomial,
+)
+from oracles import (
+    ScalarRng,
+    SeedSpec,
+    _binomial,
+    _binomial_btrs,
+    alias_draw,
+    chain_counts,
+    derive_stream_seed,
 )
 
 SAMPLERS = (sample_counts_categorical, sample_counts_multinomial)
@@ -79,18 +86,24 @@ class TestStreamDerivation:
             SeedSpec(2**64, 0)
         with pytest.raises(ValueError):
             SeedSpec(0, -1)
+        with pytest.raises(ValueError, match="master_seed"):
+            derive_stream_seeds(-1, 0, 1)
+        with pytest.raises(ValueError, match="master_seed"):
+            derive_stream_seeds(2**64, 0, 1)
+        with pytest.raises(ValueError, match="stream_index"):
+            derive_stream_seeds(0, -1, 1)
 
 
 class TestCounterRng:
     def test_scalar_and_batch_agree(self):
-        a = CounterRng(777)
+        a = ScalarRng(777)
         b = CounterRng(777)
         batch = b.uniforms(64)
         scalars = [a.uniform() for _ in range(64)]
         assert batch.tolist() == scalars
 
     def test_mixed_call_pattern_is_one_stream(self):
-        a = CounterRng(31337)
+        a = ScalarRng(31337)
         b = CounterRng(31337)
         mixed = [a.uniform(), *a.uniforms(3).tolist(), a.uniform()]
         assert mixed == b.uniforms(5).tolist()
@@ -101,7 +114,7 @@ class TestCounterRng:
 
     def test_scalar_draws_cross_every_block_boundary(self):
         draws = _SCALAR_DRAWS + 3 * _BLOCK + 100
-        rng = CounterRng(0xFEEDFACE)
+        rng = ScalarRng(0xFEEDFACE)
         assert [rng.uniform() for _ in range(draws)] == self._reference(0xFEEDFACE, 1, draws)
 
     def test_random_interleavings_match_the_counter_formula(self):
@@ -110,7 +123,7 @@ class TestCounterRng:
         picker = random.Random(17)
         for trial in range(40):
             seed = picker.getrandbits(64)
-            rng = CounterRng(seed)
+            rng = ScalarRng(seed)
             got: list[float] = []
             while len(got) < 4000:
                 if picker.random() < 0.8:
@@ -118,6 +131,19 @@ class TestCounterRng:
                 else:
                     got.extend(rng.uniforms(picker.randint(0, 40)).tolist())
             assert got == self._reference(seed, 1, len(got)), trial
+
+    def test_stream_blocks_are_the_counter_stream(self):
+        # the chain's iterator: the scalar pairs, then at least three block ends
+        draws = _SCALAR_DRAWS + 3 * _BLOCK + 100
+        picker = random.Random(29)
+        for seed in [0, 2**64 - 1] + [picker.getrandbits(64) for _ in range(40)]:
+            stream = itertools.chain.from_iterable(_stream_blocks(seed))
+            assert list(itertools.islice(stream, draws)) == self._reference(seed, 1, draws), seed
+
+    def test_stream_blocks_pair_the_scalar_draws(self):
+        blocks = _stream_blocks(5)
+        sizes = [len(next(blocks)) for _ in range(_SCALAR_DRAWS // 2 + 2)]
+        assert sizes == [2] * (_SCALAR_DRAWS // 2) + [_BLOCK, _BLOCK]
 
     def test_range_and_coarse_uniformity(self):
         u = CounterRng(2024).uniforms(200_000)
@@ -177,6 +203,8 @@ class TestSamplers:
         first = sample(pmf, 5000, seed)
         second = sample(pmf, 5000, seed)
         assert np.array_equal(first.counts, second.counts)
+        # a numpy seed, as derive_stream_seeds returns it, names the same stream
+        assert np.array_equal(sample(pmf, 5000, np.uint64(seed)).counts, first.counts)
 
     @pytest.mark.parametrize("sample", SAMPLERS)
     def test_total_preserved_on_random_cases(self, sample):
@@ -213,6 +241,12 @@ class TestSamplers:
         se = np.sqrt(np.maximum(var, 1e-9) / reps)
         dev = np.abs(mean - n * pmf.probs) / se
         assert float(np.max(dev)) <= 5.0
+
+    @pytest.mark.parametrize("sample", SAMPLERS)
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_rejects_seeds_outside_64_bits(self, sample, seed):
+        with pytest.raises(ValueError, match="stream_seed"):
+            sample(validate_pmf((0.5, 0.5)), 10, seed)
 
     def test_rejects_zero_draws(self):
         pmf = validate_pmf((0.5, 0.5))
@@ -283,6 +317,28 @@ class TestChainGolden:
             digest.update(counts.astype("<i8").tobytes())
         assert digest.hexdigest() == expected
 
+    @pytest.mark.parametrize(
+        "spec, n",
+        [
+            ("harmonic:1000", 10**6),
+            ("harmonic:50", 200),
+            ("expgeom:2", 1000),
+            ("expgeom:2", 100_000),
+            ("expgeom:30", 10_000),
+            ((0.999, 0.001), 10_000),
+            ((0.5, 0.5, 1e-300), 1000),
+            ("harmonic:1000", 5),
+            ("harmonic:6", 1),
+            ("expgeom:2", MAX_TOTAL),
+        ],
+        ids=lambda v: str(v) if not isinstance(v, tuple) else "-".join(map(str, v)),
+    )
+    def test_chain_is_the_reference_chain(self, spec, n):
+        # the one-loop chain against one binomial call per cell, seed by seed
+        pmf = _golden_pmf(spec)
+        for seed in derive_stream_seeds(77, 0, 200).tolist():
+            assert sample_counts_multinomial(pmf, n, seed).counts.tolist() == chain_counts(pmf, n, seed), seed
+
     def test_plan_is_built_once_per_pmf(self):
         pmf = build_family(FamilySpec(HARMONIC, 7))
         plan = _chain_plan(pmf)
@@ -313,14 +369,14 @@ class TestChainGolden:
 
 class TestBinomialSampler:
     def test_degenerate_probabilities(self):
-        rng = CounterRng(5)
+        rng = ScalarRng(5)
         assert _binomial(10, 0.0, rng) == 0
         assert _binomial(10, 1.0, rng) == 10
 
     def test_inversion_matches_exact_distribution(self):
         # n p = 10 <= 30: inversion path against the exact pmf
         n, p, draws = 50, 0.2, 20_000
-        rng = CounterRng(97)
+        rng = ScalarRng(97)
         samples = np.array([_binomial_inversion(n, p, rng.uniform()) for _ in range(draws)])
         edges = [-0.5, 4.5, 6.5, 8.5, 10.5, 12.5, 14.5, n + 0.5]
         observed = np.histogram(samples, bins=edges)[0]
@@ -331,7 +387,7 @@ class TestBinomialSampler:
     def test_btrs_matches_exact_distribution(self):
         # n p = 60 > 30: rejection path against the exact pmf
         n, p, draws = 200, 0.3, 20_000
-        rng = CounterRng(131)
+        rng = ScalarRng(131)
         samples = np.array([_binomial_btrs(n, p, rng) for _ in range(draws)])
         assert np.all(samples >= 0) and np.all(samples <= n)
         qs = [binom.ppf(q, n, p) for q in (0.05, 0.2, 0.4, 0.6, 0.8, 0.95)]
@@ -343,22 +399,33 @@ class TestBinomialSampler:
 
     def test_flip_path_mean(self):
         # p > 1/2 goes through the complement; check the mean survives it
-        rng = CounterRng(17)
+        rng = ScalarRng(17)
         draws = np.array([_binomial(400, 0.9, rng) for _ in range(5000)])
         se = math.sqrt(400 * 0.9 * 0.1 / 5000)
         assert abs(draws.mean() - 360.0) <= 5.0 * se
 
 
 class TestAliasTable:
+    def test_build_holds_few_vectors(self):
+        # the Vose loop runs on 8-byte-a-cell buffers, not Python objects
+        probs = build_family(FamilySpec(HARMONIC, 1 << 17)).probs
+        tracemalloc.start()
+        try:
+            AliasTable(probs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7.0 * 8 * probs.size
+
     def test_single_symbol(self):
         table = AliasTable(np.array([1.0]))
-        idx = table.draw(CounterRng(3), 100)
+        idx = alias_draw(table, CounterRng(3), 100)
         assert np.all(idx == 0)
 
     def test_draw_frequencies(self):
         probs = np.array([0.5, 0.3, 0.15, 0.05])
         table = AliasTable(probs)
-        idx = table.draw(CounterRng(11), 200_000)
+        idx = alias_draw(table, CounterRng(11), 200_000)
         freq = np.bincount(idx, minlength=4) / 200_000
         assert np.max(np.abs(freq - probs)) < 0.005
 
@@ -369,7 +436,7 @@ class TestAliasTable:
         table = AliasTable(probs)
         build_time = time.perf_counter() - t0
         t0 = time.perf_counter()
-        table.draw(CounterRng(1), 10**5)
+        alias_draw(table, CounterRng(1), 10**5)
         draw_time = time.perf_counter() - t0
         assert build_time < 5.0
         assert draw_time < 2.0
@@ -394,8 +461,8 @@ GOLDEN_CATEGORICAL = (
     ("harmonic", 100_000, 30_000, 13, "4e5208c5b729df5a656f4d9390751cd17d7e6423286ba021e96bc6d01d1a5d1a"),
     ("uniform", 1, 12345, 14, "e1543551249113046932741cc28f36b4bbcc542233eb5094874072d3167f160a"),
 )
-# AliasTable.draw over harmonic K=1000 from CounterRng(0xA11A5): 50 000 draws,
-# 0 draws, three scalar uniform() calls, 40 001 draws, 1 draw (concatenated).
+# alias draws over harmonic K=1000 from CounterRng(0xA11A5): 50 000 draws,
+# 0 draws, three outputs skipped, 40 001 draws, 1 draw (concatenated).
 GOLDEN_DRAW = "f23a7dbeeddfdf8f372142afa56ce74c1dd9c5e90f2d1d034572af8633e7fbab"
 
 
@@ -403,8 +470,8 @@ def _sha256_i8(values):
     return hashlib.sha256(np.ascontiguousarray(values, dtype="<i8").tobytes()).hexdigest()
 
 
-def _reference_draw(probs, rng, count):
-    """The scalar-table alias draw: Vose build, float uniforms, np.where."""
+def _reference_vose(probs):
+    """Vose's build on numpy arrays: (threshold, alias) per cell."""
     k = probs.size
     scaled = probs * k
     threshold = np.ones(k)
@@ -416,6 +483,13 @@ def _reference_draw(probs, rng, count):
         threshold[s], alias[s] = scaled[s], g
         scaled[g] -= 1.0 - scaled[s]
         (small if scaled[g] < 1.0 else large).append(g)
+    return threshold, alias
+
+
+def _reference_draw(probs, rng, count):
+    """The scalar-table alias draw: Vose build, float uniforms, np.where."""
+    k = probs.size
+    threshold, alias = _reference_vose(probs)
     u_cell = rng.uniforms(count)
     u_flip = rng.uniforms(count)
     idx = np.minimum((u_cell * k).astype(np.int64), k - 1)
@@ -432,16 +506,28 @@ class TestCategoricalKernel:
     def test_draw_matches_recorded_hash(self):
         table = AliasTable(build_family(FamilySpec(HARMONIC, 1000)).probs)
         rng = CounterRng(0xA11A5)
-        parts = [table.draw(rng, 50_000), table.draw(rng, 0)]
-        rng.uniform(), rng.uniform(), rng.uniform()
-        parts += [table.draw(rng, 40_001), table.draw(rng, 1)]
+        parts = [alias_draw(table, rng, 50_000), alias_draw(table, rng, 0)]
+        rng._advance(3)
+        parts += [alias_draw(table, rng, 40_001), alias_draw(table, rng, 1)]
         assert _sha256_i8(np.concatenate(parts)) == GOLDEN_DRAW
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["harmonic:1000", "expgeom:700", "uniform:1000", "uniform:1", (5e-324, 0.5, 1e-310, 0.5, 2e-320, 5e-324)],
+        ids=lambda spec: spec if isinstance(spec, str) else "subnormal",
+    )
+    def test_table_is_the_reference_vose_build(self, spec):
+        probs = _golden_pmf(spec).probs
+        threshold, alias = _reference_vose(probs.copy())
+        table = AliasTable(probs)
+        assert np.array_equal(table._cutoff, np.ceil(threshold * 2.0**53).astype(np.uint64))
+        assert table._pick.tolist() == np.stack((alias, np.arange(probs.size)), axis=1).ravel().tolist()
 
     def test_draw_shares_the_samplers_batch_layout(self):
         # n crosses _DRAW_BATCH, where each batch claims its own cell and flip uniforms
         pmf = build_family(FamilySpec(HARMONIC, 1000))
         n = _DRAW_BATCH + 3
-        drawn = AliasTable(pmf.probs).draw(CounterRng(7), n)
+        drawn = alias_draw(AliasTable(pmf.probs), CounterRng(7), n)
         counts = sample_counts_categorical(pmf, n, 7).counts
         assert np.array_equal(np.bincount(drawn, minlength=pmf.size), counts)
 
@@ -455,7 +541,7 @@ class TestCategoricalKernel:
             pmf = validate_pmf(weights / weights.sum())
             count = int(picker.integers(0, 3 * _SUB_BLOCK + 2))
             seed = int(picker.integers(0, 2**64, dtype=np.uint64)) | (0xFFFF << 48) * (trial % 2)
-            got = AliasTable(pmf.probs).draw(CounterRng(seed), count)
+            got = alias_draw(AliasTable(pmf.probs), CounterRng(seed), count)
             want = _reference_draw(pmf.probs.copy(), CounterRng(seed), count)
             assert np.array_equal(got, want), trial
 
