@@ -13,6 +13,10 @@ plus ``uniform`` and ``custom`` (externally supplied vectors).  The
 logharmonic family is indexed internally from ``i = 2`` (the weight is
 undefined at ``i = 1``) but exposed as positions ``1..K`` so that count
 vectors keep a uniform contract across families.
+
+Every :class:`Pmf` passes one support check, :func:`_check_support`.  A
+custom vector is loaded, type-checked and renormalized once, by
+:func:`load_custom_pmf`; its :class:`FamilySpec` holds the resulting Pmf.
 """
 
 from __future__ import annotations
@@ -152,12 +156,7 @@ class Pmf:
 
     def __post_init__(self) -> None:
         probs = np.asarray(self.probs, dtype=np.float64)
-        if probs.ndim != 1 or probs.size == 0:
-            raise PmfError("probability vector must be a non-empty 1-d sequence")
-        if not np.all(np.isfinite(probs)):
-            raise PmfError("probability vector contains non-finite entries")
-        if np.any(probs <= 0.0):
-            raise PmfError("full support required: every probability must be > 0")
+        _check_support(probs)
         total = _fsum(probs)
         if abs(total - 1.0) > _CONSTRUCTED_SUM_TOL:
             raise PmfError(
@@ -177,31 +176,37 @@ class Pmf:
     def size(self) -> int:
         return int(self.probs.size)
 
-    def __len__(self) -> int:
-        return self.size
+
+def _check_support(probs: np.ndarray) -> None:
+    """The support contract: a non-empty 1-d array of finite entries, each > 0."""
+    if probs.ndim != 1 or probs.size == 0:
+        raise PmfError("probability vector must be a non-empty 1-d sequence")
+    if not np.all(np.isfinite(probs)):
+        raise PmfError("probability vector contains non-finite entries")
+    if np.any(probs <= 0.0):
+        raise PmfError("full support required: every probability must be > 0")
 
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """A family kind plus its alphabet size (and, for custom, the vector itself)."""
+    """A family kind plus its alphabet size; a custom family holds its loaded Pmf."""
 
     kind: str
     size: int = 0
-    custom_probs: tuple[float, ...] | None = None
+    pmf: Pmf | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in FAMILY_KINDS:
             raise PmfError(f"unknown family kind {self.kind!r}; expected one of {FAMILY_KINDS}")
         if self.kind == CUSTOM:
-            if not self.custom_probs:
-                raise PmfError("custom family requires custom_probs")
-            if self.size == 0:
-                object.__setattr__(self, "size", len(self.custom_probs))
-            elif self.size != len(self.custom_probs):
-                raise PmfError("custom family size disagrees with custom_probs length")
+            if self.pmf is None:
+                raise PmfError("custom family requires a pmf")
+            if self.size not in (0, self.pmf.size):
+                raise PmfError("custom family size disagrees with its pmf")
+            object.__setattr__(self, "size", self.pmf.size)
         else:
-            if self.custom_probs is not None:
-                raise PmfError(f"{self.kind} family does not take custom_probs")
+            if self.pmf is not None:
+                raise PmfError(f"{self.kind} family does not take a pmf")
             if self.size < 1:
                 raise PmfError(f"alphabet size must be >= 1, got {self.size}")
             if self.kind == LOG_HARMONIC and self.size < 2:
@@ -234,12 +239,12 @@ def build_family(spec: FamilySpec) -> Pmf:
     Raises
     ------
     PmfError
-        On invalid sizes, on custom vectors violating the Pmf contract,
-        and when family weights underflow to exactly zero (expgeom does
-        past size ~745; such entries are rejected rather than zeroed).
+        When family weights underflow to exactly zero (expgeom does past
+        size ~745; such entries are rejected rather than zeroed).  A
+        custom spec returns the Pmf it holds, validated when loaded.
     """
     if spec.kind == CUSTOM:
-        return validate_pmf(spec.custom_probs)
+        return spec.pmf
     weights = family_weights(spec.kind, spec.size)
     if np.any(weights == 0.0):
         first = int(np.argmax(weights == 0.0)) + 1
@@ -271,47 +276,33 @@ def validate_pmf(probs: Sequence[float] | Iterable[float]) -> Pmf:
         arr = np.asarray(probs, dtype=np.float64)
     except OverflowError as exc:  # a JSON integer beyond float range
         raise PmfError(f"probability vector entry out of range: {exc}") from exc
-    if arr.ndim != 1 or arr.size == 0:
-        raise PmfError("probability vector must be a non-empty 1-d sequence")
-    if not np.all(np.isfinite(arr)):
-        raise PmfError("probability vector contains non-finite entries")
-    if np.any(arr <= 0.0):
-        raise PmfError("full support required: every probability must be > 0")
+    _check_support(arr)
     total = _fsum(arr)
     if abs(total - 1.0) > _INPUT_SUM_TOL:
         raise PmfError(f"probabilities sum to {total!r}, outside 1 +/- {_INPUT_SUM_TOL}")
     return Pmf(arr / total)
 
 
-def pmf_from_text(path: str | Path) -> Pmf:
-    """Load a custom distribution from a one-probability-per-line text file."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    values = []
-    for lineno, raw in enumerate(lines, start=1):
-        text = raw.strip()
-        if not text or text.startswith("#"):
-            continue
-        try:
-            values.append(float(text))
-        except ValueError as exc:
-            raise PmfError(f"{path}:{lineno}: not a number: {text!r}") from exc
-    return validate_pmf(values)
-
-
-def pmf_from_json(path: str | Path) -> Pmf:
-    """Load a custom distribution from a JSON array of probabilities."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(data, list):
-        raise PmfError(f"{path}: expected a JSON array of probabilities")
-    return validate_pmf(data)
-
-
 def load_custom_pmf(path: str | Path) -> Pmf:
-    """Dispatch on file suffix: .json -> JSON array, anything else -> text lines."""
-    p = Path(path)
-    if p.suffix.lower() == ".json":
-        return pmf_from_json(p)
-    return pmf_from_text(p)
+    """Load and validate a custom distribution: a ``.json`` file holds a JSON
+    array of probabilities, any other file one per line (blank lines and
+    ``#`` comments skipped)."""
+    path = Path(path)
+    if path.suffix.lower() == ".json":
+        values = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(values, list):
+            raise PmfError(f"{path}: expected a JSON array of probabilities")
+    else:
+        values = []
+        for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                values.append(float(line))
+            except ValueError as exc:
+                raise PmfError(f"{path}:{lineno}: not a number: {line!r}") from exc
+    return validate_pmf(values)
 
 
 def parse_family(text: str) -> FamilySpec:
@@ -323,8 +314,7 @@ def parse_family(text: str) -> FamilySpec:
     if not sep or not arg:
         raise PmfError(f"family spec {text!r} must look like 'kind:K' (or 'custom:path')")
     if kind == CUSTOM:
-        pmf = load_custom_pmf(arg.strip())
-        return FamilySpec(CUSTOM, size=pmf.size, custom_probs=tuple(pmf.probs.tolist()))
+        return FamilySpec(CUSTOM, pmf=load_custom_pmf(arg.strip()))
     try:
         size = int(arg)
     except ValueError as exc:

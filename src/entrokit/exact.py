@@ -47,7 +47,6 @@ class PopulationSummary:
     entropy: float
     sigma2: float
     sigma: float
-    size: int
 
     @property
     def degenerate(self) -> bool:
@@ -132,7 +131,7 @@ def log_law(pmf: Pmf) -> LogLaw:
         sigma2 = _fsum_terms(spread, p.size)
         if sigma2 < _DEGENERATE_SIGMA2_TOL:
             sigma2 = 0.0
-        summary = PopulationSummary(entropy=h, sigma2=sigma2, sigma=math.sqrt(sigma2), size=pmf.size)
+        summary = PopulationSummary(entropy=h, sigma2=sigma2, sigma=math.sqrt(sigma2))
         law = LogLaw(logp, summary)
         _LAW_CACHE[pmf] = law
     return law

@@ -36,6 +36,11 @@ disagreed with libm on 3 to 21 of 20 000 random inputs, depending on the
 input range), and one such bit can flip an accept decision or an
 inversion step and so change the counts.
 
+Seeds pass one check, :func:`_check_seed` (an integer in [0, 2^64)), and
+sample sizes and count totals another, :func:`_check_total` (an integer in
+[1, 2^62]).  An integer is of type ``int`` (so never a bool) or a numpy
+integer, never a float or string; a numpy seed names the stream its int does.
+
 Neither sampler has a failure branch: every suffix mass of a Pmf is
 positive (see :func:`_chain_plan`), so the chain never runs out of mass.
 
@@ -115,6 +120,20 @@ _SUB_BLOCK = 1 << 14
 _DRAW_BATCH = 1 << 20
 
 
+def _check_seed(seed: int, name: str = "stream_seed") -> int:
+    """``seed`` as a Python int: the one check of every stream or master seed."""
+    if (type(seed) is int or isinstance(seed, np.integer)) and 0 <= seed <= _MASK64:
+        return int(seed)
+    raise ValueError(f"{name} must be a 64-bit unsigned integer, got {seed!r}")
+
+
+def _check_total(n: int, name: str = "sample size") -> int:
+    """``n`` as a Python int: the one check of every sample size and count total."""
+    if (type(n) is int or isinstance(n, np.integer)) and 1 <= n <= MAX_TOTAL:
+        return int(n)
+    raise ValueError(f"{name} must be an integer in [1, 2^62], got {n!r}")
+
+
 def _mix64(z: int) -> int:
     """Scalar splitmix64 finalizer (avalanche bijection on 64-bit words)."""
     z &= _MASK64
@@ -148,8 +167,7 @@ def derive_stream_seeds(master_seed: int, start: int, count: int) -> np.ndarray:
     (odd-multiplier index scramble, xor, splitmix finalizer) is a
     bijection on 64-bit words.
     """
-    if not 0 <= master_seed <= _MASK64:
-        raise ValueError("master_seed must be a 64-bit unsigned integer")
+    master_seed = _check_seed(master_seed, "master_seed")
     if start < 0:
         raise ValueError("stream_index must be nonnegative")
     idx = np.arange(start, start + count, dtype=np.uint64)
@@ -169,9 +187,7 @@ class CounterRng:
     __slots__ = ("_key", "_counter")
 
     def __init__(self, stream_seed: int):
-        if not 0 <= stream_seed <= _MASK64:
-            raise ValueError("stream_seed must be a 64-bit unsigned integer")
-        self._key = int(stream_seed)
+        self._key = _check_seed(stream_seed)
         self._counter = 0
 
     def uniforms(self, count: int) -> np.ndarray:
@@ -230,18 +246,18 @@ class CountVector:
     total: int
 
     def __post_init__(self) -> None:
-        counts = np.asarray(self.counts, dtype=np.int64)
-        if counts.ndim != 1 or counts.size == 0:
+        counts = np.asarray(self.counts)
+        if counts.dtype.kind not in "iu" or counts.ndim != 1 or counts.size == 0:
             raise ValueError("counts must be a non-empty 1-d integer vector")
+        counts = counts.astype(np.int64)
         if np.any(counts < 0):
             raise ValueError("counts must be nonnegative")
-        if not 1 <= self.total <= MAX_TOTAL:
-            raise ValueError(f"total must lie in [1, 2^62], got {self.total}")
-        if int(counts.sum()) != self.total:
+        total = _check_total(self.total, "total")
+        if int(counts.sum()) != total:
             raise ValueError("counts must sum to the stated total")
-        counts = counts.copy()
         counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "total", total)
 
     @property
     def size(self) -> int:
@@ -368,18 +384,13 @@ def _chain_plan(pmf: Pmf) -> memoryview:
     return plan
 
 
-def _check_total(n: int) -> None:
-    if not 1 <= n <= MAX_TOTAL:
-        raise ValueError(f"sample size must lie in [1, 2^62], got {n}")
-
-
 def sample_counts_categorical(pmf: Pmf, n: int, seed: int) -> CountVector:
     """Count vector from n i.i.d. symbol draws through an alias table.
 
     The alias table is built once per Pmf and cached; sampling is O(1)
     per draw.  Deterministic given ``seed``.
     """
-    _check_total(n)
+    n = _check_total(n)
     table = _alias_table(pmf)
     rng = CounterRng(seed)
     counts = np.zeros(pmf.size, dtype=np.int64)
@@ -402,10 +413,8 @@ def sample_counts_multinomial(pmf: Pmf, n: int, seed: int) -> CountVector:
     proposals without evaluating logs; the log test's constants are
     computed only when a proposal first reaches it.
     """
-    _check_total(n)
-    if not 0 <= seed <= _MASK64:
-        raise ValueError("stream_seed must be a 64-bit unsigned integer")
-    draw = chain.from_iterable(_stream_blocks(int(seed))).__next__
+    n = _check_total(n)
+    draw = chain.from_iterable(_stream_blocks(_check_seed(seed))).__next__
     counts = [0] * pmf.size
     remaining = n
     for i, p in enumerate(_chain_plan(pmf)):

@@ -6,9 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from entrokit import alphabet
 from entrokit.alphabet import (
     _FSUM_BLOCK,
     _FSUM_MIN_SIZE,
+    CUSTOM,
     EXP_GEOMETRIC,
     HARMONIC,
     LOG_HARMONIC,
@@ -23,8 +25,6 @@ from entrokit.alphabet import (
     family_weights,
     load_custom_pmf,
     parse_family,
-    pmf_from_json,
-    pmf_from_text,
     validate_pmf,
 )
 
@@ -313,26 +313,26 @@ class TestLoadersAndParsing:
     def test_text_loader(self, tmp_path):
         path = tmp_path / "probs.txt"
         path.write_text("# comment\n0.5\n\n0.25\n0.25\n")
-        pmf = pmf_from_text(path)
+        pmf = load_custom_pmf(path)
         assert pmf.probs == pytest.approx([0.5, 0.25, 0.25])
 
     def test_text_loader_bad_line(self, tmp_path):
         path = tmp_path / "probs.txt"
         path.write_text("0.5\nnot-a-number\n")
         with pytest.raises(PmfError, match="not a number"):
-            pmf_from_text(path)
+            load_custom_pmf(path)
 
     def test_json_loader(self, tmp_path):
         path = tmp_path / "probs.json"
         path.write_text(json.dumps([0.2, 0.3, 0.5]))
-        pmf = pmf_from_json(path)
+        pmf = load_custom_pmf(path)
         assert pmf.probs == pytest.approx([0.2, 0.3, 0.5])
 
     def test_json_loader_requires_array(self, tmp_path):
         path = tmp_path / "probs.json"
         path.write_text(json.dumps({"p": [1.0]}))
         with pytest.raises(PmfError, match="array"):
-            pmf_from_json(path)
+            load_custom_pmf(path)
 
     def test_suffix_dispatch(self, tmp_path):
         as_json = tmp_path / "p.json"
@@ -354,6 +354,33 @@ class TestLoadersAndParsing:
         assert spec.size == 2
         assert build_family(spec).probs == pytest.approx([0.25, 0.75])
 
+    def test_custom_family_is_validated_once_and_held(self, tmp_path, monkeypatch):
+        path = tmp_path / "p.txt"
+        path.write_text("0.25\n0.75\n")
+        calls = []
+        real = alphabet.validate_pmf
+
+        def counting(probs):
+            calls.append(probs)
+            return real(probs)
+
+        monkeypatch.setattr(alphabet, "validate_pmf", counting)
+        spec = parse_family(f"custom:{path}")
+        pmf = build_family(spec)
+        assert len(calls) == 1
+        assert pmf is spec.pmf and spec.size == 2
+
+    def test_custom_spec_takes_a_pmf_and_its_size(self):
+        pmf = validate_pmf((0.5, 0.25, 0.25))
+        assert FamilySpec(CUSTOM, pmf=pmf).size == 3
+        assert FamilySpec(CUSTOM, 3, pmf).size == 3
+        with pytest.raises(PmfError, match="requires a pmf"):
+            FamilySpec(CUSTOM, 3)
+        with pytest.raises(PmfError, match="disagrees"):
+            FamilySpec(CUSTOM, 2, pmf)
+        with pytest.raises(PmfError, match="does not take a pmf"):
+            FamilySpec(HARMONIC, 3, pmf)
+
     def test_parse_family_errors(self):
         with pytest.raises(PmfError):
             parse_family("harmonic")
@@ -366,3 +393,12 @@ class TestLoadersAndParsing:
 def test_direct_pmf_construction_enforces_tight_sum():
     with pytest.raises(PmfError):
         Pmf(np.array([0.5, 0.5 + 1e-9]))
+
+
+@pytest.mark.parametrize(
+    "probs, message",
+    [([[0.5, 0.5]], "1-d"), ([], "1-d"), ([np.nan, 1.0], "non-finite"), ([1.5, -0.5], "full support"), ([1.0, 0.0], "full support")],
+)
+def test_direct_pmf_construction_enforces_support(probs, message):
+    with pytest.raises(PmfError, match=message):
+        Pmf(np.array(probs))

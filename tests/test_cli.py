@@ -81,6 +81,30 @@ class TestDescribe:
         assert run_cli(["describe", "--family", f"custom:{probs}", "--out", str(out)]) == EXIT_OK
         assert json.loads(out.read_text())["results"]["K"] == 2
 
+    @pytest.mark.parametrize(
+        "name, content, sha",
+        [
+            (
+                "p.json",
+                "[0.3222468932, 0.1611234466, 0.1074156311, 0.0805617233, 0.06444937864, 0.05370781553, "
+                "0.04603527046, 0.04028086165, 0.03580521036, 0.03222468932, 0.02929517211, 0.02685390777]",
+                "3a534a002557e952ba6449afd33c555b990385a7b6d168aa2cc1bbb948eab4b5",
+            ),
+            (
+                "p.txt",
+                "# six-digit weights\n0.123456\n0.234567\n\n0.341977\n0.3\n",
+                "240fcc32997aa4e73443793ebeb7982230a6f4281ed3342199ea3e0913a48c71",
+            ),
+        ],
+        ids=("json", "text"),
+    )
+    def test_custom_file_payload_matches_recorded_hash(self, tmp_path, monkeypatch, name, content, sha):
+        # the json file sums to 1 + 4e-11, so its load renormalizes it
+        monkeypatch.chdir(tmp_path)
+        Path(name).write_text(content)
+        assert run_cli(["describe", "--family", f"custom:{name}", "--out", "out.json"]) == EXIT_OK
+        assert hashlib.sha256(Path("out.json").read_bytes()).hexdigest() == sha
+
     def test_envelope_overflow_is_null_with_a_note(self, tmp_path):
         probs = tmp_path / "f.json"
         probs.write_text("[0.500001, 0.499999]")

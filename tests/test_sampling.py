@@ -93,6 +93,14 @@ class TestStreamDerivation:
         with pytest.raises(ValueError, match="stream_index"):
             derive_stream_seeds(0, -1, 1)
 
+    @pytest.mark.parametrize("master", [1.5, 1.0, True, "7"])
+    def test_non_integer_master_seed_is_refused(self, master):
+        with pytest.raises(ValueError, match="master_seed"):
+            derive_stream_seeds(master, 0, 2)
+
+    def test_numpy_master_seed_names_the_same_streams(self):
+        assert derive_stream_seeds(np.uint64(2**64 - 1), 0, 4).tolist() == derive_stream_seeds(2**64 - 1, 0, 4).tolist()
+
 
 class TestCounterRng:
     def test_scalar_and_batch_agree(self):
@@ -145,6 +153,14 @@ class TestCounterRng:
         sizes = [len(next(blocks)) for _ in range(_SCALAR_DRAWS // 2 + 2)]
         assert sizes == [2] * (_SCALAR_DRAWS // 2) + [_BLOCK, _BLOCK]
 
+    @pytest.mark.parametrize("seed", [2.9, 2.0, True, "2", None])
+    def test_non_integer_seed_is_refused(self, seed):
+        with pytest.raises(ValueError, match="stream_seed"):
+            CounterRng(seed)
+
+    def test_numpy_seed_is_the_same_stream(self):
+        assert CounterRng(np.uint64(2**63 + 5)).uniforms(8).tolist() == CounterRng(2**63 + 5).uniforms(8).tolist()
+
     def test_range_and_coarse_uniformity(self):
         u = CounterRng(2024).uniforms(200_000)
         assert np.all(u >= 0.0) and np.all(u < 1.0)
@@ -162,6 +178,25 @@ class TestCountVector:
             CountVector(np.array([], dtype=np.int64), 0)
         with pytest.raises(ValueError, match="1-d"):
             CountVector(np.array([[1, 2], [3, 4]]), 10)
+
+    @pytest.mark.parametrize(
+        "counts, total",
+        [([1.5, 2.5], 3), (np.array([1.0, 3.0]), 4), (["1", "3"], 4), (np.array([True, True, False]), 2), ([1, None], 1)],
+    )
+    def test_counts_must_be_integer_typed(self, counts, total):
+        # a float is never truncated, a string or bool never read as a count
+        with pytest.raises(ValueError, match="integer vector"):
+            CountVector(counts, total)
+
+    @pytest.mark.parametrize("total", [3.0, np.float64(3.0), "3"])
+    def test_total_must_be_an_integer(self, total):
+        with pytest.raises(ValueError, match="total"):
+            CountVector([1, 2], total)
+
+    def test_integer_entries_of_any_width(self):
+        cv = CountVector(np.array([1, 2], dtype=np.uint8), np.int64(3))
+        assert cv.counts.dtype == np.int64 and cv.counts.tolist() == [1, 2]
+        assert type(cv.total) is int and cv.total == 3
 
     @pytest.mark.parametrize("sample", SAMPLERS)
     def test_samplers_skip_the_public_checks(self, sample, monkeypatch):
@@ -247,6 +282,25 @@ class TestSamplers:
     def test_rejects_seeds_outside_64_bits(self, sample, seed):
         with pytest.raises(ValueError, match="stream_seed"):
             sample(validate_pmf((0.5, 0.5)), 10, seed)
+
+    @pytest.mark.parametrize("sample", SAMPLERS)
+    @pytest.mark.parametrize("seed", [1.7, 1.0, True, "1"])
+    def test_rejects_non_integer_seeds(self, sample, seed):
+        # 1.7 and True used to read stream 1
+        with pytest.raises(ValueError, match="stream_seed"):
+            sample(validate_pmf((0.5, 0.5)), 1000, seed)
+
+    @pytest.mark.parametrize("sample", SAMPLERS)
+    @pytest.mark.parametrize("n", [1000.0, np.float64(1000.0), True, "1000"])
+    def test_rejects_non_integer_sample_sizes(self, sample, n):
+        with pytest.raises(ValueError, match="sample size must be an integer"):
+            sample(validate_pmf((0.5, 0.5)), n, 1)
+
+    @pytest.mark.parametrize("sample", SAMPLERS)
+    def test_numpy_sample_size_gives_an_int_total(self, sample):
+        counts = sample(validate_pmf((0.5, 0.5)), np.int64(1000), 1)
+        assert type(counts.total) is int and counts.total == 1000
+        assert counts.counts.tolist() == sample(validate_pmf((0.5, 0.5)), 1000, 1).counts.tolist()
 
     def test_rejects_zero_draws(self):
         pmf = validate_pmf((0.5, 0.5))
