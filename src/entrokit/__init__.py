@@ -57,8 +57,6 @@ from .montecarlo import (
     run_mdp,
 )
 from .sampling import (
-    AliasTable,
-    CounterRng,
     CountVector,
     derive_stream_seeds,
     sample_counts_categorical,
@@ -68,11 +66,9 @@ from .sampling import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AliasTable",
     "BeSweepResult",
     "BeSweepRow",
     "ConfigError",
-    "CounterRng",
     "CountVector",
     "CUSTOM",
     "DecompositionReport",

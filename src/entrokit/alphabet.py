@@ -269,7 +269,8 @@ def validate_pmf(probs: Sequence[float] | Iterable[float]) -> Pmf:
         numeric = probs.dtype.kind in "iuf"
     else:
         probs = list(probs)
-        numeric = all(isinstance(x, _NUMBER_TYPES) and not isinstance(x, bool) for x in probs)
+        # one check per entry type, not per entry: bools, np.bool_, strings and None are refused
+        numeric = all(issubclass(t, _NUMBER_TYPES) and not issubclass(t, bool) for t in set(map(type, probs)))
     if not numeric:
         raise PmfError("probability vector must hold numbers only")
     try:

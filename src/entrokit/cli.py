@@ -50,6 +50,7 @@ from .montecarlo import (
     run_clt,
     run_mdp,
 )
+from .sampling import _is_integer  # JSON true/false load as bool, which it refuses
 
 SCHEMA_VERSION = "1.0.0"
 
@@ -184,11 +185,6 @@ _MDP_SETTINGS = (
 
 def _flag(setting: _Setting) -> str:
     return "--" + setting.name.replace("_", "-")
-
-
-def _is_integer(value: Any) -> bool:
-    # JSON true/false load as bool, a subclass of int
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _grid(text: str) -> list[int]:

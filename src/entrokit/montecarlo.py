@@ -55,6 +55,7 @@ from .exact import (
 from .estimator import decompose
 from .sampling import (
     MAX_TOTAL,
+    _is_integer,
     derive_stream_seeds,
     sample_counts_categorical,
     sample_counts_multinomial,
@@ -153,7 +154,12 @@ class ExperimentConfig:
             raise ConfigError(
                 f"experiments take a parametric family {PARAMETRIC_FAMILIES}, got {self.family!r}"
             )
-        grid = tuple(int(n) for n in self.n_grid)
+        for value in (*self.n_grid, self.replicates, self.master_seed, self.workers):
+            if not _is_integer(value):
+                raise ConfigError(f"n_grid, replicates, master_seed and workers take integers, got {value!r}")
+        for name in ("replicates", "master_seed", "workers"):
+            object.__setattr__(self, name, int(getattr(self, name)))
+        grid = tuple(map(int, self.n_grid))
         if not grid:
             raise ConfigError("n_grid must be non-empty")
         if any(n < 1 for n in grid):
@@ -177,6 +183,11 @@ class ExperimentConfig:
             raise ConfigError(f"sampler must be one of {SAMPLERS}, got {self.sampler!r}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        for n in grid:
+            size = self.k_rule.alphabet_size(n)
+            if not 2 <= size <= MAX_ALPHABET_SIZE:
+                need = "need K >= 2" if size < 2 else f"the cap is {MAX_ALPHABET_SIZE}"
+                raise ConfigError(f"K rule {self.k_rule.render()} gives K={size} at n={n}; {need}")
 
 
 @dataclass(frozen=True)
@@ -317,16 +328,7 @@ def _simulate(
 
 
 def _grid_point(config: ExperimentConfig, n: int) -> tuple[Pmf, PopulationSummary]:
-    size = config.k_rule.alphabet_size(n)
-    if size < 2:
-        raise ConfigError(
-            f"K rule {config.k_rule.render()} gives K={size} at n={n}; need K >= 2"
-        )
-    if size > MAX_ALPHABET_SIZE:
-        raise ConfigError(
-            f"K rule {config.k_rule.render()} gives K={size} at n={n}; "
-            f"the cap is {MAX_ALPHABET_SIZE}"
-        )
+    size = config.k_rule.alphabet_size(n)  # in [2, MAX_ALPHABET_SIZE], checked with the config
     pmf = build_family(FamilySpec(config.family, size))
     pop = population_summary(pmf)
     if pop.degenerate:

@@ -21,11 +21,12 @@ The binomial sampler inside the chain uses CDF inversion for
 ``n*p <= 30`` and Hormann's BTRS transformed rejection above; both are
 exact samplers, not approximations.
 
-The chain is one loop over cells, and each cell's draw runs in the loop
-itself; only CDF inversion is a helper.  Its uniforms come through one
-stream iterator (:func:`_stream_blocks`), one C call per draw: the first
-outputs mixed in Python in pairs, then lists made from numpy blocks of
-the same counter stream.  :class:`CounterRng` is the batched stream only.
+The stream has no state: :func:`_mantissas` makes outputs of stream
+``key`` from their counters.  The chain is one loop over cells, and each
+cell's draw runs in the loop itself; only CDF inversion is a helper.  Its
+uniforms come through one stream iterator (:func:`_stream_blocks`), one C
+call per draw: the first outputs mixed in Python in pairs, then lists made
+by :func:`_mantissas`.
 The per-cell conditional probabilities are computed once per Pmf and
 cached; BTRS sets up its log acceptance test only when a proposal misses
 the squeeze.  The chain's logs, lgammas and powers stay on libm
@@ -47,11 +48,10 @@ positive (see :func:`_chain_plan`), so the chain never runs out of mass.
 An alias draw of n symbols (:meth:`AliasTable._blocks`) runs in batches
 of at most ``_DRAW_BATCH`` symbols; in a batch of b draws starting after
 counter c, the cell uniforms are outputs c+1..c+b and the flip uniforms
-c+b+1..c+2b, exactly what two ``uniforms(b)`` calls return.  Inside a
-batch the kernel works in sub-blocks of ``_SUB_BLOCK`` draws on
-preallocated buffers (splitmix64 in place, from the table's
-``arange * golden`` step plus a base word reduced in Python), so its
-memory does not grow with n.  It computes on the 53-bit integers ``m``
+c+b+1..c+2b.  Inside a batch the kernel works in sub-blocks of
+``_SUB_BLOCK`` draws on preallocated buffers (splitmix64 in place, from
+the shared ``_STEP`` plus a base word reduced in Python), so its memory
+does not grow with n.  It computes on the 53-bit integers ``m``
 behind the uniforms ``m * 2^-53``, and both of its rewrites give the
 same bits as the float formulation:
 
@@ -110,7 +110,6 @@ _TWO_NEG_53 = 2.0**-53
 # fixed size.
 _SCALAR_DRAWS = 8
 _BLOCK = 512
-_BLOCK_STEP = np.arange(_BLOCK, dtype=np.uint64) * np.uint64(_GOLDEN)
 
 # The categorical kernel draws in sub-blocks of this many draws, so its
 # buffers stay in cache (about 0.5 MB in all) whatever n is.
@@ -118,18 +117,25 @@ _SUB_BLOCK = 1 << 14
 # Alias draws claim their cell and flip uniforms a batch of this many
 # draws at a time (a multiple of _SUB_BLOCK).
 _DRAW_BATCH = 1 << 20
+# Counter-word offsets j * golden (mod 2^64), which every block of words slices.
+_STEP = np.arange(_SUB_BLOCK, dtype=np.uint64) * np.uint64(_GOLDEN)
+
+
+def _is_integer(x: object) -> bool:
+    """The integer contract of seeds, sizes and counts: an ``int`` (so never a bool) or a numpy integer."""
+    return type(x) is int or isinstance(x, np.integer)
 
 
 def _check_seed(seed: int, name: str = "stream_seed") -> int:
-    """``seed`` as a Python int: the one check of every stream or master seed."""
-    if (type(seed) is int or isinstance(seed, np.integer)) and 0 <= seed <= _MASK64:
+    """``seed`` as a Python int: the one check of every 64-bit seed or stream index."""
+    if _is_integer(seed) and 0 <= seed <= _MASK64:
         return int(seed)
     raise ValueError(f"{name} must be a 64-bit unsigned integer, got {seed!r}")
 
 
 def _check_total(n: int, name: str = "sample size") -> int:
     """``n`` as a Python int: the one check of every sample size and count total."""
-    if (type(n) is int or isinstance(n, np.integer)) and 1 <= n <= MAX_TOTAL:
+    if _is_integer(n) and 1 <= n <= MAX_TOTAL:
         return int(n)
     raise ValueError(f"{name} must be an integer in [1, 2^62], got {n!r}")
 
@@ -165,58 +171,26 @@ def derive_stream_seeds(master_seed: int, start: int, count: int) -> np.ndarray:
     Seed i avalanche-mixes ``(master_seed, i)``; distinct stream indices
     give distinct seeds for a fixed master seed, because every step
     (odd-multiplier index scramble, xor, splitmix finalizer) is a
-    bijection on 64-bit words.
+    bijection on 64-bit words.  Stream indices are integers in [0, 2^64).
     """
     master_seed = _check_seed(master_seed, "master_seed")
-    if start < 0:
-        raise ValueError("stream_index must be nonnegative")
+    start, count = _check_seed(start, "stream_index"), _check_seed(count, "count")
+    if start + count > 1 << 64:
+        raise ValueError(f"streams {start} .. {start + count - 1} run past stream index 2^64 - 1")
     idx = np.arange(start, start + count, dtype=np.uint64)
     h_master = np.uint64(_mix64((master_seed + _GOLDEN) & _MASK64))
     h_index = _mix64_array(idx * np.uint64(_STREAM_MULT) + np.uint64(_STREAM_SALT))
     return _mix64_array(h_master ^ h_index)
 
 
-class CounterRng:
-    """Counter-mode splitmix64 uniform stream, drawn in batches.
-
-    Output ``i`` (1-based) equals ``mix64(seed + i * golden) * 2^-53``
-    after dropping the word's low 11 bits.  ``_counter`` counts claimed
-    outputs, so successive :meth:`uniforms` calls continue one stream.
-    """
-
-    __slots__ = ("_key", "_counter")
-
-    def __init__(self, stream_seed: int):
-        self._key = _check_seed(stream_seed)
-        self._counter = 0
-
-    def uniforms(self, count: int) -> np.ndarray:
-        """A batch of doubles in [0, 1)."""
-        return self._mantissas(self._advance(count), np.empty(count, dtype=np.uint64)) * _TWO_NEG_53
-
-    def _advance(self, count: int) -> int:
-        """Claim the next ``count`` outputs; returns the first one's counter."""
-        first = self._counter + 1
-        self._counter += count
-        return first
-
-    def _mantissas(
-        self, first: int, z: np.ndarray, tmp: np.ndarray | None = None, step: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Fill ``z`` with the 53-bit integers ``m`` of outputs ``first,
-        first+1, ...`` (1-based counters); output = ``m * 2^-53``.  Every
-        stream word past the first ``_SCALAR_DRAWS`` is made here.
-
-        ``step`` holds ``j * golden`` (mod 2^64) for ``j = 0, 1, ...`` and
-        is at least as long as ``z``; it is built when not given.  The base
-        word is reduced modulo 2^64 in Python, so no numpy scalar
-        overflows; ``tmp`` is optional scratch.  No state change.
-        """
-        if step is None:
-            step = np.arange(z.size, dtype=np.uint64) * np.uint64(_GOLDEN)
-        np.add(step[: z.size], np.uint64((self._key + first * _GOLDEN) & _MASK64), out=z)
-        _mix64_array(z, tmp)
-        return np.right_shift(z, _U64_11, out=z)
+def _mantissas(key: int, first: int, z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Fill ``z`` (at most ``_SUB_BLOCK`` words) with ``m = mix64(key + i * golden) >> 11``
+    for counters ``i = first, first+1, ...`` of stream ``key`` (an int in [0, 2^64)),
+    so output i is ``m * 2^-53``; returns ``z``.  The base word is reduced modulo
+    2^64 in Python, so no numpy scalar overflows; ``tmp`` is same-shape scratch."""
+    np.add(_STEP[: z.size], np.uint64((key + first * _GOLDEN) & _MASK64), out=z)
+    _mix64_array(z, tmp)
+    return np.right_shift(z, _U64_11, out=z)
 
 
 def _stream_blocks(seed: int) -> Iterator[list[float]]:
@@ -224,18 +198,17 @@ def _stream_blocks(seed: int) -> Iterator[list[float]]:
 
     The first ``_SCALAR_DRAWS`` outputs are mixed in Python two at a time
     (BTRS reads its uniforms in pairs), so a short stream makes no numpy
-    call and builds no :class:`CounterRng`; the rest come in lists of
-    ``_BLOCK`` made by :meth:`CounterRng._mantissas`.  Chained with
-    ``itertools.chain.from_iterable``, each output costs one C call.
+    call; the rest come in lists of ``_BLOCK`` made by :func:`_mantissas`.
+    Chained with ``itertools.chain.from_iterable``, each output costs one
+    C call.
     """
     for i in range(1, _SCALAR_DRAWS + 1, 2):
         z0, z1 = _mix64(seed + i * _GOLDEN), _mix64(seed + (i + 1) * _GOLDEN)
         yield [(z0 >> 11) * _TWO_NEG_53, (z1 >> 11) * _TWO_NEG_53]
-    rng = CounterRng(seed)
     words = np.empty(_BLOCK, dtype=np.uint64)
     tmp = np.empty(_BLOCK, dtype=np.uint64)
     for first in count(_SCALAR_DRAWS + 1, _BLOCK):
-        yield (rng._mantissas(first, words, tmp, _BLOCK_STEP) * _TWO_NEG_53).tolist()
+        yield (_mantissas(seed, first, words, tmp) * _TWO_NEG_53).tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,16 +265,15 @@ class AliasTable:
         self._cutoff = np.ceil(threshold * 2.0**53).astype(np.uint64)
         self._pick = np.stack((alias, np.arange(k, dtype=np.int64)), axis=1).ravel()
         self._scale = k * _TWO_NEG_53
-        # counter-word offsets j * golden of one sub-block, for every draw call
-        self._step = np.arange(_SUB_BLOCK, dtype=np.uint64) * np.uint64(_GOLDEN)
 
-    def _blocks(self, rng: CounterRng, count: int) -> Iterator[tuple[int, np.ndarray]]:
-        """Draw ``count`` symbols sub-block by sub-block, as ``(offset, indices)``.
+    def _blocks(self, key: int, first: int, count: int) -> Iterator[tuple[int, np.ndarray]]:
+        """Draw ``count`` symbols from stream ``key`` after counter ``first``,
+        sub-block by sub-block, as ``(offset, indices)``; the draws read outputs
+        ``first+1 .. first+2*count``.
 
-        Per batch of up to ``_DRAW_BATCH`` draws, draw j reads output j of
-        ``rng.uniforms(batch)`` for the cell, then of a second such call for
-        the flip.  Each ``indices`` array is a buffer view that the next
-        sub-block overwrites.
+        Draw j of a batch of b draws after counter c reads output c+1+j for
+        the cell and c+1+b+j for the flip.  Each ``indices`` array is a
+        buffer view that the next sub-block overwrites.
         """
         size = min(count, _SUB_BLOCK)
         words = np.empty(size, dtype=np.uint64)
@@ -313,15 +285,16 @@ class AliasTable:
             offset = start % _DRAW_BATCH
             if offset == 0:
                 batch = min(count - start, _DRAW_BATCH)
-                cell_first, flip_first = rng._advance(batch), rng._advance(batch)
+                cell_first = first + 2 * start + 1
+                flip_first = cell_first + batch
             length = min(count - start, _SUB_BLOCK)
             m, tmp, x, c, kept = (a[:length] for a in (words, scratch, scaled, cell, keep))
-            rng._mantissas(cell_first + offset, m, tmp, self._step)
+            _mantissas(key, cell_first + offset, m, tmp)
             # m < 2^53, so its int64 view is the same value (and converts faster)
             np.multiply(m.view(np.int64), self._scale, out=x)
             np.copyto(c, x, casting="unsafe")
             np.minimum(c, self.size - 1, out=c)
-            rng._mantissas(flip_first + offset, m, tmp, self._step)
+            _mantissas(key, flip_first + offset, m, tmp)
             # indices are in range by construction; "clip" skips the bounds pass
             np.take(self._cutoff, c, out=tmp, mode="clip")
             np.less(m, tmp, out=kept)
@@ -391,10 +364,9 @@ def sample_counts_categorical(pmf: Pmf, n: int, seed: int) -> CountVector:
     per draw.  Deterministic given ``seed``.
     """
     n = _check_total(n)
-    table = _alias_table(pmf)
-    rng = CounterRng(seed)
+    key = _check_seed(seed)
     counts = np.zeros(pmf.size, dtype=np.int64)
-    for _, block in table._blocks(rng, n):
+    for _, block in _alias_table(pmf)._blocks(key, 0, n):
         np.add.at(counts, block, 1)
     return _frozen_counts(counts, n)
 

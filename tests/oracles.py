@@ -5,9 +5,10 @@ functionals are summed term by term in 40-digit arithmetic with the
 uncentered variance formula, and the normal CDF comes from composite
 Simpson quadrature of the density.  The sampling references are the
 scalar forms the library's batched code must reproduce bit for bit: the
-one-uniform-at-a-time stream, the conditional-binomial chain built from
-separate binomial draws, the scalar stream-seed formula and the alias
-draw into one array.  Production code never imports this module.
+stateful stream (batched and one uniform at a time), the
+conditional-binomial chain built from separate binomial draws, the scalar
+stream-seed formula and the alias draw into one array.  Production code
+never imports this module.
 """
 
 from __future__ import annotations
@@ -27,11 +28,13 @@ from entrokit.sampling import (
     _SCALAR_DRAWS,
     _STREAM_MULT,
     _STREAM_SALT,
+    _SUB_BLOCK,
     _TWO_NEG_53,
     AliasTable,
-    CounterRng,
     _binomial_inversion,
     _chain_plan,
+    _check_seed,
+    _mantissas,
     _mix64,
 )
 
@@ -128,6 +131,36 @@ def derive_stream_seed(spec: SeedSpec) -> int:
     return _mix64(h_master ^ h_index)
 
 
+class CounterRng:
+    """The counter stream with state, drawn in batches.
+
+    Output ``i`` (1-based) is ``_mantissas(key, i) * 2^-53``.  ``_counter``
+    counts claimed outputs, so successive :meth:`uniforms` calls continue
+    one stream.
+    """
+
+    __slots__ = ("_key", "_counter")
+
+    def __init__(self, stream_seed: int):
+        self._key = _check_seed(stream_seed)
+        self._counter = 0
+
+    def uniforms(self, count: int) -> np.ndarray:
+        """A batch of doubles in [0, 1)."""
+        first = self._advance(count)
+        words = np.empty(count, dtype=np.uint64)
+        for start in range(0, count, _SUB_BLOCK):
+            block = words[start : start + _SUB_BLOCK]
+            _mantissas(self._key, first + start, block, np.empty_like(block))
+        return words * _TWO_NEG_53
+
+    def _advance(self, count: int) -> int:
+        """Claim the next ``count`` outputs; returns the first one's counter."""
+        first = self._counter + 1
+        self._counter += count
+        return first
+
+
 class ScalarRng(CounterRng):
     """A :class:`CounterRng` that also hands out its outputs one at a time.
 
@@ -151,7 +184,8 @@ class ScalarRng(CounterRng):
         if self._counter <= _SCALAR_DRAWS:
             z = _mix64(self._key + self._counter * _GOLDEN)
             return (z >> 11) * _TWO_NEG_53
-        words = self._mantissas(self._counter, np.empty(_BLOCK, dtype=np.uint64))
+        words = np.empty(_BLOCK, dtype=np.uint64)
+        _mantissas(self._key, self._counter, words, np.empty_like(words))
         block = (words * _TWO_NEG_53)[::-1].tolist()
         value = block.pop()
         self._buffer = block
@@ -232,8 +266,10 @@ def chain_counts(pmf: Pmf, n: int, seed: int) -> list[int]:
 
 
 def alias_draw(table: AliasTable, rng: CounterRng, count: int) -> np.ndarray:
-    """Sample ``count`` symbol indices into one array (two uniforms per draw)."""
+    """Sample ``count`` symbol indices into one array from ``rng``'s next
+    ``2 * count`` outputs (two uniforms per draw)."""
     out = np.empty(count, dtype=np.int64)
-    for start, block in table._blocks(rng, count):
+    for start, block in table._blocks(rng._key, rng._counter, count):
         out[start : start + block.size] = block
+    rng._advance(2 * count)
     return out

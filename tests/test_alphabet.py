@@ -154,11 +154,23 @@ class TestValidatePmf:
 
     @pytest.mark.parametrize(
         "probs",
-        [["0.5", "0.5"], [True, False], [0.5, True], np.array(["0.5", "0.5"]), np.array([True, True])],
+        [
+            ["0.5", "0.5"], [True, False], [0.5, True], np.array(["0.5", "0.5"]), np.array([True, True]),
+            [0.5, np.bool_(True)], [np.bool_(True)], [0.5, None], [0.25, 0.25, "0.5"],
+        ],
     )
     def test_rejects_non_numbers(self, probs):
         with pytest.raises(PmfError, match="numbers only"):
             validate_pmf(probs)
+
+    def test_mixed_number_types_are_accepted(self):
+        class Half(float):
+            pass
+
+        mixed = [0.25, np.float32(0.25), np.float64(0.25), Half(0.25)]
+        assert validate_pmf(mixed).probs.tolist() == [0.25] * 4
+        for one in (1, np.int64(1), np.uint8(1)):
+            assert validate_pmf([one]).probs.tolist() == [1.0]
 
     def test_accepts_numeric_arrays_and_numpy_scalars(self):
         assert validate_pmf(np.array([1, 3]) / 4).probs.tolist() == [0.25, 0.75]

@@ -20,7 +20,8 @@ from entrokit.montecarlo import (
     run_mdp,
 )
 from entrokit import montecarlo
-from entrokit.sampling import CounterRng, derive_stream_seeds, sample_counts_multinomial
+from entrokit.sampling import derive_stream_seeds, sample_counts_multinomial
+from oracles import CounterRng
 
 
 def small_config(**overrides):
@@ -103,6 +104,46 @@ class TestExperimentConfig:
 
     def test_no_mdp_replicate_cap_below_the_stream_cap(self):
         assert small_config(replicates=200_001).replicates == 200_001
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_grid", (1000.7,)),
+            ("n_grid", ("1000",)),
+            ("n_grid", (True, 5)),
+            ("n_grid", (np.float64(1000.0),)),
+            ("replicates", 150.5),
+            ("replicates", 200.0),
+            ("master_seed", 3.0),
+            ("master_seed", True),
+            ("workers", 1.5),
+            ("workers", "2"),
+        ],
+        ids=lambda v: repr(v),
+    )
+    def test_integer_settings_take_integers_only(self, field, value):
+        # 1000.7 became 1000 and (True, 5) ran; 150.5 and workers=1.5 failed in run_clt
+        with pytest.raises(ConfigError, match="integers"):
+            small_config(**{field: value})
+
+    def test_numpy_integers_are_held_as_ints(self):
+        config = small_config(
+            n_grid=(np.int64(500), 600), replicates=np.int32(200), master_seed=np.uint64(11), workers=np.int8(1)
+        )
+        values = (*config.n_grid, config.replicates, config.master_seed, config.workers)
+        assert all(type(v) is int for v in values)
+        want = run_clt(small_config(n_grid=(500, 600)))
+        assert [s.z_samples.tolist() for s in run_clt(config)] == [s.z_samples.tolist() for s in want]
+
+    def test_k_of_every_grid_point_is_checked_before_sampling(self, monkeypatch):
+        # a K beyond the cap at the last grid point used to surface only after
+        # every earlier point had been sampled
+        def refuse(*args):
+            raise AssertionError("a replicate was sampled")
+
+        monkeypatch.setattr(montecarlo, "_replicate_chunk", refuse)
+        with pytest.raises(ConfigError, match="K=316227766 at n=100000000000000000; the cap"):
+            run_clt(small_config(k_rule=KRule("pow", 0.5), n_grid=(10**6, 10**17)))
 
 
 class TestKsDistance:

@@ -19,10 +19,10 @@ from entrokit.sampling import (
     _SUB_BLOCK,
     MAX_TOTAL,
     AliasTable,
-    CounterRng,
     CountVector,
     _binomial_inversion,
     _chain_plan,
+    _mantissas,
     _mix64,
     _alias_table,
     _mix64_array,
@@ -32,6 +32,7 @@ from entrokit.sampling import (
     sample_counts_multinomial,
 )
 from oracles import (
+    CounterRng,
     ScalarRng,
     SeedSpec,
     _binomial,
@@ -101,6 +102,23 @@ class TestStreamDerivation:
     def test_numpy_master_seed_names_the_same_streams(self):
         assert derive_stream_seeds(np.uint64(2**64 - 1), 0, 4).tolist() == derive_stream_seeds(2**64 - 1, 0, 4).tolist()
 
+    @pytest.mark.parametrize(
+        "start, count",
+        [(0.5, 2), (True, 2), ("0", 1), (0, 2.5), (0, True), (0, -3), (0, None), (2**64, 0), (2**64 - 2, 3)],
+        ids=("float-start", "bool-start", "str-start", "float-count", "bool-count", "negative-count",
+             "none-count", "start-2^64", "past-2^64"),
+    )
+    def test_stream_range_takes_integers_below_2_64(self, start, count):
+        # 0.5 read streams 0 and 1, 2.5 gave three seeds, -3 none, and 2^64 a bare OverflowError
+        with pytest.raises(ValueError, match="stream_index|count|past"):
+            derive_stream_seeds(1, start, count)
+
+    def test_stream_range_reaches_the_last_index(self):
+        last = [derive_stream_seed(SeedSpec(9, 2**64 - 2 + i)) for i in range(2)]
+        assert derive_stream_seeds(9, 2**64 - 2, 2).tolist() == last
+        assert derive_stream_seeds(9, np.uint64(2**64 - 2), np.int64(2)).tolist() == last
+        assert derive_stream_seeds(9, 2**64 - 1, 0).size == 0
+
 
 class TestCounterRng:
     def test_scalar_and_batch_agree(self):
@@ -153,16 +171,31 @@ class TestCounterRng:
         sizes = [len(next(blocks)) for _ in range(_SCALAR_DRAWS // 2 + 2)]
         assert sizes == [2] * (_SCALAR_DRAWS // 2) + [_BLOCK, _BLOCK]
 
+    def test_mantissas_match_the_scalar_formula_where_words_wrap(self):
+        # keys near 2^64, so key + i * golden wraps modulo 2^64 within a block,
+        # over two sub-blocks made by two calls that meet at a _SUB_BLOCK boundary
+        words = np.empty(_SUB_BLOCK, dtype=np.uint64)
+        tmp = np.empty_like(words)
+        for key in (2**64 - 1, 2**64 - 12345, 0):
+            for first in (1, (7 << 32) + 3, 2**64 - 2 * _SUB_BLOCK):
+                got = [_mantissas(key, first + j * _SUB_BLOCK, words, tmp).tolist() for j in range(2)]
+                want = [_mix64(key + i * _GOLDEN) >> 11 for i in range(first, first + 2 * _SUB_BLOCK)]
+                assert got[0] + got[1] == want, (key, first)
+
     @pytest.mark.parametrize("seed", [2.9, 2.0, True, "2", None])
     def test_non_integer_seed_is_refused(self, seed):
         with pytest.raises(ValueError, match="stream_seed"):
-            CounterRng(seed)
+            sample_counts_categorical(validate_pmf((0.5, 0.5)), 10, seed)
 
     def test_numpy_seed_is_the_same_stream(self):
-        assert CounterRng(np.uint64(2**63 + 5)).uniforms(8).tolist() == CounterRng(2**63 + 5).uniforms(8).tolist()
+        pmf = build_family(FamilySpec(HARMONIC, 1000))
+        assert np.array_equal(
+            sample_counts_categorical(pmf, 5000, np.uint64(2**63 + 5)).counts,
+            sample_counts_categorical(pmf, 5000, 2**63 + 5).counts,
+        )
 
     def test_range_and_coarse_uniformity(self):
-        u = CounterRng(2024).uniforms(200_000)
+        u = np.array(list(itertools.islice(itertools.chain.from_iterable(_stream_blocks(2024)), 200_000)))
         assert np.all(u >= 0.0) and np.all(u < 1.0)
         assert abs(u.mean() - 0.5) < 0.004
         assert abs(np.mean(u < 0.25) - 0.25) < 0.004
