@@ -13,12 +13,18 @@ inequality); the chi-square term has exact replicate mean ``(K-1)/n``.
 
 Zero counts use the continuous extension ``0 ln 0 = 0`` (the true
 probabilities can never vanish, but empirical ones can).
+
+Every sum is exactly rounded, so :func:`decompose` returns the same bits
+whichever of its two paths runs: numpy arrays, or Python floats for
+alphabets of at most ``_SMALL_K`` symbols, where numpy's per-call cost
+outweighs the O(K) work.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul, sub, truediv
 
 import numpy as np
 
@@ -28,6 +34,10 @@ from .sampling import CountVector
 
 # An analytically nonnegative KL sum that rounds slightly below zero is noise.
 _KL_CLAMP_TOL = 1e-12
+# decompose sums Python floats up to this K and numpy arrays above it: per
+# replicate the float path took 0.53x the array path's time at K=2, 0.92-0.98x
+# at K=16 and 1.07-1.16x at K=24 (n=1e5, CPython 3.11, numpy 2.4, 2 vCPUs).
+_SMALL_K = 16
 
 
 @dataclass(frozen=True)
@@ -79,20 +89,37 @@ def decompose(counts: CountVector, pmf: Pmf) -> DecompositionReport:
         )
     law = log_law(pmf)
     pop = law.summary
-    p = pmf.probs
-    logp = law.logp
-    phat = empirical_pmf(counts)
-
-    nonzero = phat > 0.0
-    ph_nz = phat[nonzero]
-    log_ph = np.log(ph_nz)
-    diff = phat - p
-    plugin = -_fsum(ph_nz * log_ph)
-    linear = -_fsum(diff * logp)
-    kl = _fsum(ph_nz * (log_ph - logp[nonzero]))
+    if pmf.size <= _SMALL_K:
+        # The array path's operations on floats: int->float, +, -, * and /
+        # round correctly in both, diff**2 is diff*diff, and _fsum is
+        # math.fsum below 2048 values.  The logs still come from np.log over
+        # the same compacted array, as numpy's log is not libm's.
+        total = float(counts.total)
+        phat = [c / total for c in counts.counts.tolist()]
+        p = pmf.probs.tolist()
+        logp = law.logp.tolist()
+        ph_nz = [x for x in phat if x > 0.0]
+        logp_nz = logp if len(ph_nz) == len(phat) else [lp for x, lp in zip(phat, logp) if x > 0.0]
+        log_ph = np.log(np.array(ph_nz)).tolist()
+        diff = list(map(sub, phat, p))
+        plugin = -math.fsum(map(mul, ph_nz, log_ph))
+        linear = -math.fsum(map(mul, diff, logp))
+        kl = math.fsum(map(mul, ph_nz, map(sub, log_ph, logp_nz)))
+        chi2 = math.fsum(map(truediv, map(mul, diff, diff), p))
+    else:
+        p = pmf.probs
+        logp = law.logp
+        phat = empirical_pmf(counts)
+        nonzero = phat > 0.0
+        ph_nz = phat[nonzero]
+        log_ph = np.log(ph_nz)
+        diff = phat - p
+        plugin = -_fsum(ph_nz * log_ph)
+        linear = -_fsum(diff * logp)
+        kl = _fsum(ph_nz * (log_ph - logp[nonzero]))
+        chi2 = _fsum(diff**2 / p)
     if -_KL_CLAMP_TOL < kl < 0.0:
         kl = 0.0
-    chi2 = _fsum(diff**2 / p)
 
     if pop.degenerate:
         standardized = None

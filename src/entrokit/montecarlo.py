@@ -13,9 +13,12 @@ Standardization always uses the exact per-n entropy and sigma from the
 population functionals, never sample estimates.  Replicates are keyed by
 stream index (grid position * 2^32 + replicate); a worker chunk is a range
 of consecutive indices, and chunks are joined in index order, so results
-are bit-identical for a fixed master seed at any worker count.  Every
+are bit-identical for a fixed master seed at any worker count.  A run
+starts at most one process pool, the first time a grid point needs two or
+more processes, and shuts it down when it returns or raises.  Every
 replicate re-checks the decomposition identity and the KL/chi-square
-sandwich as it is consumed.
+sandwich; each chunk tests them over its rows at once and raises for the
+first failing replicate in stream order.
 
 The result records (``EcdfSummary``, ``BeSweepResult``, ``BeSweepRow``,
 ``MdpCell``) are the CLI payload: their field names, in order, are its keys.
@@ -76,6 +79,9 @@ _IDENTITY_TOL = 1e-12
 # monotonicity noise band (two deviations): 2 * 1.36 / sqrt(M).
 _KS_NULL_95 = 1.36
 _WORKER_CHUNK = 256
+# A pool task carries about 1/_TASKS_PER_PROCESS of one process's share of a
+# grid point's chunks.
+_TASKS_PER_PROCESS = 4
 # An mdp cell is infeasible when its Gaussian sizing asks for more than
 # max(this, replicates) replicates.
 _MDP_MAX_REPLICATES = 200_000
@@ -177,8 +183,11 @@ class ExperimentConfig:
             raise ConfigError(f"replicates must be <= 2^24 per grid point, got {self.replicates}")
         if not 0 <= self.master_seed <= (1 << 64) - 1:
             raise ConfigError("master_seed must be a 64-bit unsigned integer")
-        if not 0.0 <= self.delta <= 1.0:
+        if not (_is_integer(self.delta) or isinstance(self.delta, float)):
+            raise ConfigError(f"delta takes an int or a float, got {self.delta!r}")
+        if not 0 <= self.delta <= 1:
             raise ConfigError(f"delta must lie in [0, 1], got {self.delta}")
+        object.__setattr__(self, "delta", float(self.delta))
         if self.sampler not in SAMPLERS:
             raise ConfigError(f"sampler must be one of {SAMPLERS}, got {self.sampler!r}")
         if self.workers < 1:
@@ -281,26 +290,37 @@ def ks_distance(sorted_samples: Sequence[float] | np.ndarray) -> float:
 def _replicate_chunk(
     pmf: Pmf, n: int, sampler: str, master_seed: int, first: int, count: int
 ) -> np.ndarray:
-    """Worker body: the (z, kl, chi2) rows of stream indices ``first .. first+count-1``."""
+    """Worker body: the (z, kl, chi2) rows of stream indices ``first .. first+count-1``.
+
+    The identity and the sandwich are checked over the whole chunk at once;
+    the first failing replicate in stream order raises, for the identity
+    before the sandwich.
+    """
     sample = sample_counts_categorical if sampler == "categorical" else sample_counts_multinomial
     h = entropy(pmf)
-    rows = []
-    for seed in derive_stream_seeds(master_seed, first, count).tolist():
-        counts = sample(pmf, n, seed)
-        rep = decompose(counts, pmf)
-        gap = rep.plugin_entropy - h
-        if abs(gap - (rep.linear_term - rep.kl_term)) > _IDENTITY_TOL:
+    seeds = derive_stream_seeds(master_seed, first, count).tolist()
+    reps = [decompose(sample(pmf, n, seed), pmf) for seed in seeds]
+    cols = np.array(
+        [(r.standardized, r.kl_term, r.chi2_term, r.plugin_entropy, r.linear_term) for r in reps],
+        dtype=np.float64,
+    )
+    _, kl, chi2, plugin, linear = cols.T
+    identity = np.abs((plugin - h) - (linear - kl)) > _IDENTITY_TOL
+    sandwich = (kl < 0.0) | (kl > chi2 + _IDENTITY_TOL)
+    failed = identity | sandwich
+    if failed.any():
+        j = int(np.argmax(failed))
+        rep, seed = reps[j], seeds[j]
+        if identity[j]:
             raise InvariantViolation(
                 f"decomposition identity failed at n={n}, seed={seed}: "
-                f"gap={gap!r} vs linear-kl={rep.linear_term - rep.kl_term!r}"
+                f"gap={rep.plugin_entropy - h!r} vs linear-kl={rep.linear_term - rep.kl_term!r}"
             )
-        if rep.kl_term < 0.0 or rep.kl_term > rep.chi2_term + _IDENTITY_TOL:
-            raise InvariantViolation(
-                f"KL/chi-square sandwich failed at n={n}, seed={seed}: "
-                f"kl={rep.kl_term!r}, chi2={rep.chi2_term!r}"
-            )
-        rows.append((rep.standardized, rep.kl_term, rep.chi2_term))
-    return np.array(rows, dtype=np.float64)
+        raise InvariantViolation(
+            f"KL/chi-square sandwich failed at n={n}, seed={seed}: "
+            f"kl={rep.kl_term!r}, chi2={rep.chi2_term!r}"
+        )
+    return cols[:, :3].copy()
 
 
 def _pool_size(workers: int, chunks: int) -> int:
@@ -308,23 +328,47 @@ def _pool_size(workers: int, chunks: int) -> int:
     return min(workers, chunks, os.cpu_count() or 1)
 
 
-def _simulate(
-    config: ExperimentConfig, pmf: Pmf, n: int, grid_index: int, count: int
-) -> np.ndarray:
-    """Replicates ``0 .. count-1`` of grid point ``grid_index`` as ``(count, 3)``
-    rows of (z, kl, chi2), optionally across processes: replicate j reads stream
-    index ``grid_index * 2^32 + j``, in chunks of ``_WORKER_CHUNK`` indices."""
-    first = grid_index * _GRID_STRIDE
-    starts = range(first, first + count, _WORKER_CHUNK)
-    sizes = [min(_WORKER_CHUNK, first + count - start) for start in starts]
-    body = partial(_replicate_chunk, pmf, n, config.sampler, config.master_seed)
-    processes = _pool_size(config.workers, len(sizes))
-    if processes <= 1:
-        parts = list(map(body, starts, sizes))
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=processes) as pool:
-            parts = list(pool.map(body, starts, sizes))
-    return np.concatenate(parts)
+class _Replicates:
+    """The replicate source of one run, used as a context manager.
+
+    Chunks run in this process unless a grid point needs two or more
+    processes.  The first such point starts one process pool, sized by
+    :func:`_pool_size`; later points reuse it, and it is shut down, waiting
+    for its workers, when the run returns or raises.
+    """
+
+    def __init__(self, config: ExperimentConfig) -> None:
+        self._config = config
+        self._pool: concurrent.futures.ProcessPoolExecutor | None = None
+
+    def __enter__(self) -> "_Replicates":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(wait=True, cancel_futures=True)
+
+    def simulate(self, pmf: Pmf, n: int, grid_index: int, count: int) -> np.ndarray:
+        """Replicates ``0 .. count-1`` of grid point ``grid_index`` as ``(count, 3)``
+        rows of (z, kl, chi2): replicate j reads stream index
+        ``grid_index * 2^32 + j``, in chunks of ``_WORKER_CHUNK`` indices joined
+        in stream order.  A pool task covers about ``1 / _TASKS_PER_PROCESS``
+        of a process's share of the chunks, so the Pmf is pickled once per
+        task and the worker reuses its log law, chain plan and alias table."""
+        config = self._config
+        first = grid_index * _GRID_STRIDE
+        starts = range(first, first + count, _WORKER_CHUNK)
+        sizes = [min(_WORKER_CHUNK, first + count - start) for start in starts]
+        body = partial(_replicate_chunk, pmf, n, config.sampler, config.master_seed)
+        processes = _pool_size(config.workers, len(sizes))
+        if processes <= 1:
+            parts = list(map(body, starts, sizes))
+        else:
+            if self._pool is None:
+                self._pool = concurrent.futures.ProcessPoolExecutor(max_workers=processes)
+            chunksize = -(-len(sizes) // (_TASKS_PER_PROCESS * processes))
+            parts = list(self._pool.map(body, starts, sizes, chunksize=chunksize))
+        return np.concatenate(parts)
 
 
 def _grid_point(config: ExperimentConfig, n: int) -> tuple[Pmf, PopulationSummary]:
@@ -338,12 +382,14 @@ def _grid_point(config: ExperimentConfig, n: int) -> tuple[Pmf, PopulationSummar
     return pmf, pop
 
 
-def _clt_points(config: ExperimentConfig) -> Iterator[tuple[Pmf, EcdfSummary]]:
+def _clt_points(
+    config: ExperimentConfig, replicates: _Replicates
+) -> Iterator[tuple[Pmf, EcdfSummary]]:
     """Each grid point's Pmf with its standardized-statistic summary, in grid order."""
     for gi, n in enumerate(config.n_grid):
         pmf, pop = _grid_point(config, n)
         m = config.replicates
-        z, kl, chi2 = _simulate(config, pmf, n, gi, m).T
+        z, kl, chi2 = replicates.simulate(pmf, n, gi, m).T
         z_sorted = np.sort(z)
         z_sorted.flags.writeable = False
         mean = float(np.mean(z))
@@ -370,23 +416,25 @@ def run_clt(config: ExperimentConfig) -> list[EcdfSummary]:
     Deterministic for a fixed master seed; replicate j at grid point g
     uses stream index ``g * 2^32 + j``.
     """
-    return [summary for _, summary in _clt_points(config)]
+    with _Replicates(config) as replicates:
+        return [summary for _, summary in _clt_points(config, replicates)]
 
 
 def run_be_sweep(config: ExperimentConfig) -> BeSweepResult:
     """KS distance against the bound shape along the grid, with monotonicity report."""
     rows = []
-    for pmf, summary in _clt_points(config):
-        shape = berry_esseen_shape(pmf, summary.n, config.delta)
-        rows.append(
-            BeSweepRow(
-                n=summary.n,
-                K=summary.K,
-                ks_distance=summary.ks_distance,
-                bound_shape=shape,
-                ratio=summary.ks_distance / shape,
+    with _Replicates(config) as replicates:
+        for pmf, summary in _clt_points(config, replicates):
+            shape = berry_esseen_shape(pmf, summary.n, config.delta)
+            rows.append(
+                BeSweepRow(
+                    n=summary.n,
+                    K=summary.K,
+                    ks_distance=summary.ks_distance,
+                    bound_shape=shape,
+                    ratio=summary.ks_distance / shape,
+                )
             )
-        )
     band = 2.0 * _KS_NULL_95 / math.sqrt(config.replicates)
     noise = 0
     hard = 0
@@ -420,37 +468,38 @@ def run_mdp(config: ExperimentConfig) -> list[MdpCell]:
         raise ConfigError("run_mdp requires an MdpSchedule on the configuration")
     schedule = config.mdp
     cells = []
-    for gi, n in enumerate(config.n_grid):
-        pmf, _ = _grid_point(config, n)
-        b = schedule.scale(n)
-        threshold = schedule.r * b
-        target = -0.5 * schedule.r**2
-        condition = mdp_condition(pmf, n, schedule)
-        # Gaussian approximation of the exceedance probability sizes the
-        # replicate count so ~20 exceedances are expected.
-        p_gauss = 2.0 * (1.0 - normal_cdf(threshold))
-        needed = config.replicates if p_gauss <= 0.0 else math.ceil(20.0 / p_gauss)
-        if p_gauss <= 0.0 or needed > max(_MDP_MAX_REPLICATES, config.replicates):
-            m_used, exceedances, flag = 0, 0, "infeasible"
-        else:
-            m_used = max(config.replicates, needed)
-            z = _simulate(config, pmf, n, gi, m_used)[:, 0]
-            exceedances = int(np.sum(np.abs(z) > threshold))
-            flag = "ok" if exceedances else "no-exceedances"
-        p_hat = exceedances / m_used if exceedances else None
-        cells.append(
-            MdpCell(
-                n=n,
-                K=pmf.size,
-                b_n=b,
-                threshold=threshold,
-                replicates_used=m_used,
-                exceedances=exceedances,
-                p_hat=p_hat,
-                scaled_log_prob=None if p_hat is None else math.log(p_hat) / b**2,
-                target=target,
-                condition_value=condition,
-                flag=flag,
+    with _Replicates(config) as replicates:
+        for gi, n in enumerate(config.n_grid):
+            pmf, _ = _grid_point(config, n)
+            b = schedule.scale(n)
+            threshold = schedule.r * b
+            target = -0.5 * schedule.r**2
+            condition = mdp_condition(pmf, n, schedule)
+            # Gaussian approximation of the exceedance probability sizes the
+            # replicate count so ~20 exceedances are expected.
+            p_gauss = 2.0 * (1.0 - normal_cdf(threshold))
+            needed = config.replicates if p_gauss <= 0.0 else math.ceil(20.0 / p_gauss)
+            if p_gauss <= 0.0 or needed > max(_MDP_MAX_REPLICATES, config.replicates):
+                m_used, exceedances, flag = 0, 0, "infeasible"
+            else:
+                m_used = max(config.replicates, needed)
+                z = replicates.simulate(pmf, n, gi, m_used)[:, 0]
+                exceedances = int(np.sum(np.abs(z) > threshold))
+                flag = "ok" if exceedances else "no-exceedances"
+            p_hat = exceedances / m_used if exceedances else None
+            cells.append(
+                MdpCell(
+                    n=n,
+                    K=pmf.size,
+                    b_n=b,
+                    threshold=threshold,
+                    replicates_used=m_used,
+                    exceedances=exceedances,
+                    p_hat=p_hat,
+                    scaled_log_prob=None if p_hat is None else math.log(p_hat) / b**2,
+                    target=target,
+                    condition_value=condition,
+                    flag=flag,
+                )
             )
-        )
     return cells

@@ -1,10 +1,12 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from entrokit import estimator
 from entrokit.alphabet import FamilySpec, HARMONIC, UNIFORM, build_family, validate_pmf
-from entrokit.estimator import decompose, empirical_pmf, plugin_entropy
+from entrokit.estimator import DecompositionReport, _SMALL_K, decompose, empirical_pmf, plugin_entropy
 from entrokit.exact import population_summary
 from entrokit.sampling import CountVector, derive_stream_seeds, sample_counts_multinomial
 
@@ -113,6 +115,83 @@ class TestDecompose:
         pmf = validate_pmf((0.5, 0.5))
         with pytest.raises(ValueError, match="match"):
             decompose(cv([1, 2, 3]), pmf)
+
+
+class TestSmallAlphabetPath:
+    """Up to _SMALL_K symbols decompose sums Python floats; every field must
+    carry the array path's bits."""
+
+    @staticmethod
+    def assert_paths_agree(monkeypatch, counts, pmf):
+        monkeypatch.setattr(estimator, "_SMALL_K", pmf.size)
+        small = decompose(counts, pmf)
+        monkeypatch.setattr(estimator, "_SMALL_K", pmf.size - 1)
+        array = decompose(counts, pmf)
+        monkeypatch.setattr(estimator, "_SMALL_K", _SMALL_K)
+        for field in fields(DecompositionReport):
+            assert repr(getattr(small, field.name)) == repr(getattr(array, field.name)), field.name
+        assert repr(decompose(counts, pmf)) == repr(array)
+        return array
+
+    def test_random_counts_with_zero_cells(self, monkeypatch):
+        rng = np.random.default_rng(151)
+        for _ in range(300):
+            k = int(rng.integers(2, _SMALL_K + 2))
+            pmf = validate_pmf(random_pmf(rng, k))
+            counts = rng.integers(0, 6, size=k) * (rng.random(k) < 0.6)
+            counts[rng.integers(0, k)] += 1
+            self.assert_paths_agree(monkeypatch, cv(counts), pmf)
+
+    def test_sampled_counts(self, monkeypatch):
+        for k in (2, 3, 8, _SMALL_K, _SMALL_K + 1):
+            pmf = build_family(FamilySpec(HARMONIC, k))
+            for seed in derive_stream_seeds(8, 0, 50).tolist():
+                self.assert_paths_agree(monkeypatch, sample_counts_multinomial(pmf, 100_000, seed), pmf)
+
+    def test_one_nonzero_cell(self, monkeypatch):
+        for k in (2, 5, _SMALL_K):
+            pmf = build_family(FamilySpec(HARMONIC, k))
+            for cell in range(k):
+                counts = np.zeros(k, dtype=np.int64)
+                counts[cell] = 1000
+                rep = self.assert_paths_agree(monkeypatch, cv(counts), pmf)
+                assert rep.plugin_entropy == 0.0
+
+    def test_totals_near_max_total(self, monkeypatch):
+        # counts above 2^53 round when converted to float, on both paths alike
+        rng = np.random.default_rng(62)
+        for _ in range(100):
+            k = int(rng.integers(2, _SMALL_K + 2))
+            pmf = validate_pmf(random_pmf(rng, k))
+            total = (1 << 62) - int(rng.integers(0, 1 << 20))
+            cuts = sorted(int(c) for c in rng.integers(0, total, size=k - 1))
+            counts = [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+            self.assert_paths_agree(monkeypatch, CountVector(np.array(counts, dtype=np.int64), total), pmf)
+        pmf = validate_pmf((0.5, 0.25, 0.25))
+        self.assert_paths_agree(monkeypatch, CountVector(np.array([(1 << 62) - 3, 1, 2]), 1 << 62), pmf)
+
+    @pytest.mark.parametrize(
+        "kind, k, counts",
+        [
+            ("expgeom", 2, [731058578631, 268941421369]),
+            ("harmonic", 3, [545454547, 272727272, 181818181]),
+        ],
+    )
+    def test_kl_clamp(self, monkeypatch, kind, k, counts):
+        # counts in the Pmf's proportions: the raw KL sum rounds just below zero
+        pmf = build_family(FamilySpec(kind, k))
+        phat = np.array(counts) / sum(counts)
+        raw = math.fsum((phat * (np.log(phat) - np.log(pmf.probs))).tolist())
+        assert -1e-12 < raw < 0.0
+        assert self.assert_paths_agree(monkeypatch, cv(counts), pmf).kl_term == 0.0
+
+    def test_threshold_picks_the_path(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(estimator, "empirical_pmf", lambda c: calls.append(c) or empirical_pmf(c))
+        for k in (_SMALL_K, _SMALL_K + 1):
+            counts = cv(np.arange(1, k + 1))
+            decompose(counts, build_family(FamilySpec(HARMONIC, k)))
+        assert [c.size for c in calls] == [_SMALL_K + 1]
 
 
 class TestStandardizedScaling:

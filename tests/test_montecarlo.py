@@ -1,5 +1,7 @@
 import math
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from entrokit.exact import DegenerateVarianceError, MdpSchedule
 from entrokit.montecarlo import (
     ConfigError,
     ExperimentConfig,
+    InvariantViolation,
     KRule,
     _pool_size,
     ks_distance,
@@ -91,6 +94,24 @@ class TestExperimentConfig:
     def test_delta_range(self):
         with pytest.raises(ConfigError, match="delta"):
             small_config(delta=1.5)
+
+    @pytest.mark.parametrize("value", [-0.1, math.nan, 10**400], ids=["negative", "nan", "beyond-float-range"])
+    def test_delta_outside_the_unit_interval(self, value):
+        with pytest.raises(ConfigError, match="delta must lie in"):
+            small_config(delta=value)
+
+    @pytest.mark.parametrize("value", ["0.5", None, True, False, [0.5], np.float32(0.5)], ids=repr)
+    def test_delta_takes_an_int_or_a_float(self, value):
+        # "0.5" and None raised a bare TypeError; True was held as True
+        with pytest.raises(ConfigError, match="delta takes an int or a float"):
+            small_config(delta=value)
+
+    @pytest.mark.parametrize(
+        "value, held", [(1, 1.0), (0, 0.0), (np.int64(1), 1.0), (0.5, 0.5), (np.float64(0.25), 0.25)], ids=repr
+    )
+    def test_delta_is_held_as_a_float(self, value, held):
+        delta = small_config(delta=value).delta
+        assert type(delta) is float and delta == held
 
     def test_replicate_cap_bounds_the_memory_of_a_grid_point(self):
         assert small_config(replicates=1 << 24).replicates == 1 << 24
@@ -188,6 +209,14 @@ class TestRunClt:
 
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
         monkeypatch.setattr(montecarlo.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        # one run starts one pool, however many of its grid points use it
+        grid = dict(n_grid=(300, 500), replicates=600)
+        assert [s.z_samples.tolist() for s in run_clt(small_config(**grid, workers=2))] == [
+            s.z_samples.tolist() for s in run_clt(small_config(**grid))
+        ]
+        assert run_be_sweep(small_config(**grid, workers=2)) == run_be_sweep(small_config(**grid))
+        assert pools == [2, 2]
+        pools.clear()
         for replicates in (200, 600):
             cfg1 = small_config(replicates=replicates)
             cfg2 = small_config(replicates=replicates, workers=2)
@@ -238,6 +267,89 @@ class TestRunClt:
         assert s.z_samples[0] <= s.z_samples[-1]
         assert s.z_mean == pytest.approx(float(np.mean(s.z_samples)), abs=1e-12)
         assert 0.0 <= s.ks_distance <= 1.0
+
+
+class TestProcessPool:
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+
+    def test_no_worker_outlives_a_run(self):
+        run_clt(small_config(n_grid=(300, 500), replicates=600, workers=2))
+        assert multiprocessing.active_children() == []
+        mdp = MdpSchedule(rho=0.1, epsilon=1.0, r=0.5)
+        run_mdp(small_config(n_grid=(300, 500), replicates=600, workers=2, mdp=mdp))
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("run", [run_clt, run_be_sweep, run_mdp])
+    def test_no_worker_outlives_a_run_that_raises_at_a_later_grid_point(self, monkeypatch, run):
+        pools = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        calls = []
+        real = montecarlo.population_summary
+
+        def fail_at_second_point(pmf):
+            calls.append(pmf.size)
+            if len(calls) == 2:
+                raise RuntimeError("second grid point")
+            return real(pmf)
+
+        monkeypatch.setattr(montecarlo.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(montecarlo, "population_summary", fail_at_second_point)
+        config = small_config(
+            n_grid=(300, 500), replicates=600, workers=2, mdp=MdpSchedule(rho=0.1, epsilon=1.0, r=0.5)
+        )
+        with pytest.raises(RuntimeError, match="second grid point"):
+            run(config)
+        assert pools == [2]
+        assert multiprocessing.active_children() == []
+
+
+class TestInvariantChecks:
+    """A chunk raises InvariantViolation for its first failing replicate in
+    stream order, naming that replicate's seed; within one replicate the
+    identity is checked before the sandwich."""
+
+    @staticmethod
+    def break_replicates(monkeypatch, broken):
+        # broken maps a replicate's call order to what its report breaks
+        real = montecarlo.decompose
+        calls = []
+
+        def decompose_breaking(counts, pmf):
+            rep = real(counts, pmf)
+            kind = broken.get(len(calls))
+            calls.append(kind)
+            if kind == "identity":
+                return replace(rep, linear_term=rep.linear_term + 1.0)
+            if kind == "sandwich":  # kl above chi2, the identity kept
+                kl = rep.chi2_term + 1.0
+                return replace(rep, kl_term=kl, linear_term=rep.linear_term + (kl - rep.kl_term))
+            if kind == "both":
+                return replace(rep, kl_term=rep.chi2_term + 1.0)
+            return rep
+
+        monkeypatch.setattr(montecarlo, "decompose", decompose_breaking)
+
+    @pytest.mark.parametrize(
+        "broken, first, message",
+        [
+            ({5: "identity", 9: "sandwich"}, 5, "decomposition identity failed"),
+            ({3: "sandwich", 7: "identity"}, 3, "KL/chi-square sandwich failed"),
+            ({4: "both"}, 4, "decomposition identity failed"),
+            ({300: "sandwich", 400: "identity"}, 300, "KL/chi-square sandwich failed"),
+        ],
+    )
+    def test_first_failing_replicate_raises(self, monkeypatch, broken, first, message):
+        self.break_replicates(monkeypatch, broken)
+        seed = derive_stream_seeds(11, 0, 600).tolist()[first]
+        with pytest.raises(InvariantViolation, match=f"{message} at n=500, seed={seed}:"):
+            run_clt(small_config(replicates=600))
 
 
 class TestPoolSize:
