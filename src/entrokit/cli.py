@@ -24,11 +24,17 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import sys
 import time
 import warnings
 from pathlib import Path
 from typing import Any, Iterable, NamedTuple, Sequence
+
+# entrokit calls no BLAS routine; its parallelism is --workers processes.
+# OpenBLAS starts its thread pool when numpy is first imported, so this must
+# run before that; the pool workers inherit it.  A value the user set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

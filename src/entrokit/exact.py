@@ -3,8 +3,8 @@
 Everything here is a pure function of an explicit finite distribution:
 Shannon entropy, the variance of the log-probability, absolute central
 moments of the linearization variable ``T = -ln p(X) - H``, exponential
-moments of ``|T|/sigma``, Lindeberg truncation residuals, the
-Berry-Esseen bound shape and the moderate-deviation summability value.
+moments of ``|T|/sigma``, the Berry-Esseen bound shape and the
+moderate-deviation summability value.
 Sums are correctly rounded (``alphabet._fsum_terms``: the float
 ``math.fsum`` returns, by error-free extraction); each sum pulls its terms
 a block at a time, so no functional builds a K-length array of terms.  The
@@ -29,7 +29,7 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from .alphabet import Pmf, _fsum, _fsum_terms
+from .alphabet import Pmf, _fsum_terms
 
 # Variance this close to zero is rounding noise from a constant log-probability;
 # clamp to exactly 0 and treat the distribution as degenerate.
@@ -244,29 +244,6 @@ def exp_moment_envelope(pmf: Pmf, delta: float) -> float:
         return power_sum * math.exp(ratio * pop.entropy)
     except OverflowError:
         return math.inf
-
-
-def lindeberg_residual(pmf: Pmf, n: int, epsilon: float) -> float:
-    """Truncated second-moment ratio ``sigma^-2 E[T^2; |T| > eps sqrt(n) sigma]``.
-
-    Lies in [0, 1]; nonincreasing in n (the truncation set shrinks); equals
-    1 at threshold 0 and 0 once no symbol exceeds the threshold.
-    """
-    if n < 1:
-        raise ValueError(f"sample size must be >= 1, got {n}")
-    if epsilon < 0.0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    law = _require_sigma(pmf)
-    pop = law.summary
-    p = pmf.probs
-    centered = law.logp + pop.entropy
-    threshold = epsilon * math.sqrt(n) * pop.sigma
-    mask = np.abs(centered) > threshold
-    if not np.any(mask):
-        return 0.0
-    # Same expression shape as the sigma2 sum, so a full mask gives exactly 1.
-    tail = _fsum(p[mask] * centered[mask] * centered[mask])
-    return tail / pop.sigma2
 
 
 def berry_esseen_shape(pmf: Pmf, n: int, delta: float) -> float:

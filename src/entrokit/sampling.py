@@ -74,7 +74,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from itertools import chain, count
-from math import floor, lgamma, log, sqrt
+from math import exp, floor, lgamma, log, log1p, sqrt
 from typing import Iterator
 from weakref import WeakKeyDictionary
 
@@ -96,6 +96,17 @@ _STREAM_SALT = 0x632BE59BD9B4E019
 MAX_TOTAL = 1 << 62
 
 _INVERSION_CUTOFF = 30.0
+# From this n on, inversion takes P(X = 0) as exp(n * log1p(-p)): in
+# (1 - p)**n the rounding of 1 - p, up to 2^-54, is raised to the n-th
+# power (relative error up to n * 2^-54, 6.1e-5 here; at n = 1e18 and
+# p = 1e-17, 1 - p rounds to 1).  Below it, (1 - p)**n keeps the streams
+# every recorded hash was taken on.
+_INVERSION_EXP_N = 1 << 40
+# The inversion walk stops here.  For a mean n*p <= 30, the Chernoff bound
+# of the Poisson(30) tail, which bounds every such binomial, gives
+# P(X > 100) < 2^-70; the walk goes further only when the summed CDF
+# rounds below the uniform, and would then walk toward n.
+_INVERSION_MAX = 100
 
 _U64_11 = np.uint64(11)
 _U64_27 = np.uint64(27)
@@ -438,14 +449,19 @@ def sample_counts_multinomial(pmf: Pmf, n: int, seed: int) -> CountVector:
 
 
 def _binomial_inversion(n: int, p: float, u: float) -> int:
-    """CDF inversion by the stable two-term recurrence; needs n*p small."""
+    """CDF inversion by the stable two-term recurrence; needs ``n*p <= 30``.
+
+    The walk stops at ``_INVERSION_MAX``; P(X = 0) is ``exp(n*log1p(-p))``
+    from ``n = _INVERSION_EXP_N`` on.
+    """
     q = 1.0 - p
     s = p / q
     a = (n + 1) * s
-    prob = q**n
+    prob = q**n if n < _INVERSION_EXP_N else exp(n * log1p(-p))
     cdf = prob
     x = 0
-    while u > cdf and x < n:
+    limit = min(n, _INVERSION_MAX)
+    while u > cdf and x < limit:
         x += 1
         prob *= a / x - s
         cdf += prob

@@ -627,15 +627,56 @@ def test_payload_keys_are_the_record_fields(tmp_path):
     assert all(list(c) == names(montecarlo.MdpCell) for c in results["mdp"]["cells"])
 
 
+def _fresh_python(code, blas_threads=None):
+    """stdout of ``code`` run in a new interpreter, with OPENBLAS_NUM_THREADS unset or at ``blas_threads``.
+
+    This process's own environment may hold the variable: importing the CLI sets it.
+    """
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
 def test_cli_import_leaves_the_process_pool_unloaded():
     # concurrent.futures loads its process module on first use of
     # ProcessPoolExecutor, which only a multi-process run reaches
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     code = "import sys, entrokit.cli; print('concurrent.futures.process' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert _fresh_python(code) == "False"
+
+
+def test_package_import_loads_no_numpy_and_sets_nothing():
+    code = "import os, sys, entrokit; print('numpy' in sys.modules, os.environ.get('OPENBLAS_NUM_THREADS'))"
+    assert _fresh_python(code) == "False None"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc to count threads")
+def test_cli_import_starts_no_blas_threads():
+    # numpy's OpenBLAS starts one thread per core at import unless told otherwise
+    code = "import os, entrokit.cli; print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _fresh_python(code) == "1 1"
+
+
+def test_cli_import_keeps_a_preset_blas_thread_count():
+    code = "import os, entrokit.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _fresh_python(code, blas_threads="3") == "3"
+
+
+def test_every_public_name_resolves_and_is_listed():
+    code = (
+        "import json, entrokit\n"
+        "listed = set(dir(entrokit))\n"
+        "names = entrokit.__all__\n"
+        "print(json.dumps([len(names), sorted(set(names) - listed),\n"
+        "    [n for n in names if getattr(entrokit, n, None) is None], hasattr(entrokit, 'lindeberg_residual')]))"
+    )
+    count, unlisted, unresolved, removed = json.loads(_fresh_python(code))
+    assert count > 40
+    assert (unlisted, unresolved, removed) == ([], [], False)
 
 
 def _trace_points():

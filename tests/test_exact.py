@@ -25,7 +25,6 @@ from entrokit.exact import (
     entropy,
     exp_moment,
     exp_moment_envelope,
-    lindeberg_residual,
     log_law,
     mdp_condition,
     normal_cdf,
@@ -78,7 +77,6 @@ class TestLogLaw:
             for fn in (abs_central_moment, split_moment_bound, exp_moment, exp_moment_envelope):
                 fn(pmf, 1.0)
         berry_esseen_shape(pmf, 10**6, 1.0)
-        lindeberg_residual(pmf, 10**6, 0.01)
         mdp_condition(pmf, 10**6, MdpSchedule(rho=0.2, epsilon=1.0, r=0.5))
         for seed in derive_stream_seeds(11, 0, 20):
             decompose(sample_counts_multinomial(pmf, 5000, int(seed)), pmf)
@@ -327,26 +325,6 @@ class TestExpMomentEnvelope:
         pmf = validate_pmf((0.9, 0.1))
         with pytest.warns(RuntimeWarning, match="delta/sigma"):
             exp_moment_envelope(pmf, 0.7)
-
-
-class TestLindebergResidual:
-    def test_huge_sample_empty_truncation(self):
-        pmf = build_family(FamilySpec(HARMONIC, 10))
-        assert lindeberg_residual(pmf, 10**12, 1.0) == 0.0
-
-    def test_zero_threshold_full_mass(self):
-        pmf = build_family(FamilySpec(HARMONIC, 10))
-        assert lindeberg_residual(pmf, 100, 0.0) == 1.0
-
-    def test_in_unit_interval_and_nonincreasing(self):
-        pmf = build_family(FamilySpec(HARMONIC, 10**3))
-        values = [lindeberg_residual(pmf, n, 0.1) for n in (10**2, 10**3, 10**4)]
-        assert all(0.0 <= v <= 1.0 for v in values)
-        assert values[0] >= values[1] >= values[2]
-
-    def test_degenerate_rejected(self):
-        with pytest.raises(DegenerateVarianceError):
-            lindeberg_residual(build_family(FamilySpec(UNIFORM, 4)), 10, 0.1)
 
 
 class TestBerryEsseenShape:

@@ -1,7 +1,9 @@
+import contextlib
 import hashlib
 import itertools
 import math
 import random
+import signal
 import time
 import tracemalloc
 import warnings
@@ -15,6 +17,7 @@ from entrokit.sampling import (
     _BLOCK,
     _DRAW_BATCH,
     _GOLDEN,
+    _INVERSION_MAX,
     _SCALAR_DRAWS,
     _SUB_BLOCK,
     MAX_TOTAL,
@@ -43,6 +46,22 @@ from oracles import (
 )
 
 SAMPLERS = (sample_counts_categorical, sample_counts_multinomial)
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    """Raise TimeoutError in the block once ``seconds`` have passed (a hang fails, not stalls)."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestStreamDerivation:
@@ -470,6 +489,40 @@ class TestBinomialSampler:
         probs = np.diff([binom.cdf(e, n, p) for e in edges])
         stat = float(np.sum((observed - draws * probs) ** 2 / (draws * probs)))
         assert stat < chi2.ppf(0.999, len(observed) - 1)
+
+    @pytest.mark.parametrize(
+        "n, p",
+        [(10**14, 3e-13), (10**17, 1e-16), (10**18, 1e-17), (MAX_TOTAL, 25.0 / MAX_TOTAL)],
+        ids=["1e14", "1e17", "1e18", "2^62"],
+    )
+    def test_inversion_at_huge_n_matches_exact_distribution(self, n, p):
+        # 1 - p keeps few or none of p's bits here, so (1 - p)**n is far off
+        # P(X = 0) (at n = 1e18 it is 1.0); mean, variance and shape against scipy
+        draws = 20_000
+        rng = ScalarRng(n % 1009)
+        with _time_limit(60):
+            samples = np.array([_binomial_inversion(n, p, rng.uniform()) for _ in range(draws)])
+        mean, var, _, kurtosis = (float(v) for v in binom.stats(n, p, moments="mvsk"))
+        assert abs(samples.mean() - mean) <= 5.0 * math.sqrt(var / draws)
+        # the sample variance's standard error is var * sqrt((excess kurtosis + 2) / draws)
+        assert abs(samples.var(ddof=1) - var) <= 5.0 * var * math.sqrt((kurtosis + 2.0) / draws)
+        qs = np.unique([binom.ppf(q, n, p) for q in (0.05, 0.2, 0.4, 0.6, 0.8, 0.95)])
+        edges = [-0.5, *(qs + 0.5), _INVERSION_MAX + 0.5]
+        observed = np.histogram(samples, bins=edges)[0]
+        probs = np.diff([binom.cdf(e, n, p) for e in edges])
+        stat = float(np.sum((observed - draws * probs) ** 2 / (draws * probs)))
+        assert stat < chi2.ppf(0.999, len(observed) - 1)
+
+    @pytest.mark.parametrize("n, p", [(10**14, 1e-13), (2**40 - 1, 1e-11)], ids=["1e14", "2^40-1"])
+    @pytest.mark.parametrize("u", [0.5, 0.999, 0.9999, 1.0 - 2.0**-53])
+    def test_inversion_never_walks_toward_n(self, n, p, u):
+        # a summed CDF that rounds below u used to send the walk toward n;
+        # at n = 1e14, (1 - p)**n summed to 0.9969, so u > 0.9969 hung
+        with _time_limit(10):
+            x = _binomial_inversion(n, p, u)
+        assert 0 <= x <= _INVERSION_MAX
+        if u <= 0.9999:
+            assert x == binom.ppf(u, n, p)
 
     def test_btrs_matches_exact_distribution(self):
         # n p = 60 > 30: rejection path against the exact pmf
