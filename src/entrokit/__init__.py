@@ -6,8 +6,8 @@ samplers, the exact error decomposition of the plug-in estimator, and
 deterministic Monte Carlo experiments for its distributional behavior.
 
 Public names resolve lazily (PEP 562): ``import entrokit`` imports no
-submodule, and so no numpy; the first use of a name imports the submodule
-that defines it.
+submodule, and so no numpy; the first use of a name, or of a submodule
+such as ``entrokit.exact``, imports that submodule.
 """
 
 from importlib import import_module
@@ -67,6 +67,8 @@ __all__ = [*_EXPORTS, "__version__"]
 
 
 def __getattr__(name: str) -> object:
+    if name in _EXPORTS.values():
+        return import_module(f".{name}", __name__)
     try:
         module = _EXPORTS[name]
     except KeyError:
@@ -77,4 +79,4 @@ def __getattr__(name: str) -> object:
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *__all__})
+    return sorted({*globals(), *__all__, *_EXPORTS.values()})

@@ -96,12 +96,6 @@ _STREAM_SALT = 0x632BE59BD9B4E019
 MAX_TOTAL = 1 << 62
 
 _INVERSION_CUTOFF = 30.0
-# From this n on, inversion takes P(X = 0) as exp(n * log1p(-p)): in
-# (1 - p)**n the rounding of 1 - p, up to 2^-54, is raised to the n-th
-# power (relative error up to n * 2^-54, 6.1e-5 here; at n = 1e18 and
-# p = 1e-17, 1 - p rounds to 1).  Below it, (1 - p)**n keeps the streams
-# every recorded hash was taken on.
-_INVERSION_EXP_N = 1 << 40
 # The inversion walk stops here.  For a mean n*p <= 30, the Chernoff bound
 # of the Poisson(30) tail, which bounds every such binomial, gives
 # P(X > 100) < 2^-70; the walk goes further only when the summed CDF
@@ -451,13 +445,14 @@ def sample_counts_multinomial(pmf: Pmf, n: int, seed: int) -> CountVector:
 def _binomial_inversion(n: int, p: float, u: float) -> int:
     """CDF inversion by the stable two-term recurrence; needs ``n*p <= 30``.
 
-    The walk stops at ``_INVERSION_MAX``; P(X = 0) is ``exp(n*log1p(-p))``
-    from ``n = _INVERSION_EXP_N`` on.
+    The walk stops at ``_INVERSION_MAX``.  P(X = 0) is ``exp(n*log1p(-p))``:
+    in ``(1 - p)**n`` the rounding of ``1 - p`` is raised to the n-th power
+    (at n = 1e18 and p = 1e-17, ``1 - p`` rounds to 1).
     """
     q = 1.0 - p
     s = p / q
     a = (n + 1) * s
-    prob = q**n if n < _INVERSION_EXP_N else exp(n * log1p(-p))
+    prob = exp(n * log1p(-p))
     cdf = prob
     x = 0
     limit = min(n, _INVERSION_MAX)
