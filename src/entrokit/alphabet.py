@@ -17,16 +17,19 @@ vectors keep a uniform contract across families.
 Every :class:`Pmf` passes one support check, :func:`_check_support`.  A
 custom vector is loaded, type-checked and renormalized once, by
 :func:`load_custom_pmf`; its :class:`FamilySpec` holds the resulting Pmf.
+Each table derived from a Pmf is built once, by a :func:`per_pmf` builder.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import weakref
 from dataclasses import dataclass
+from functools import wraps
 from pathlib import Path
 from itertools import chain
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
@@ -175,6 +178,25 @@ class Pmf:
     @property
     def size(self) -> int:
         return int(self.probs.size)
+
+
+_T = TypeVar("_T")
+
+
+def per_pmf(build: Callable[[Pmf], _T]) -> Callable[[Pmf], _T]:
+    """Memoize ``build``: it runs once per Pmf, and its value lives as long as the Pmf.
+
+    The value must hold no reference to its Pmf, or neither is ever freed."""
+    memo = weakref.WeakKeyDictionary()
+
+    @wraps(build)
+    def cached(pmf: Pmf) -> _T:
+        value = memo.get(pmf)
+        if value is None:
+            value = memo[pmf] = build(pmf)
+        return value
+
+    return cached
 
 
 def _check_support(probs: np.ndarray) -> None:

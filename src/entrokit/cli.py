@@ -56,7 +56,7 @@ from .montecarlo import (
     run_clt,
     run_mdp,
 )
-from .sampling import _is_integer  # JSON true/false load as bool, which it refuses
+from .sampling import _is_integer, _is_real  # JSON true/false load as bool, which both refuse
 
 SCHEMA_VERSION = "1.0.0"
 
@@ -204,7 +204,7 @@ def _grid(text: str) -> list[int]:
 # JSON type -> (its name in errors, the check every value must pass, the parser of flag text)
 _JSON_TYPES = {
     "integer": ("an integer", _is_integer, int),
-    "number": ("a number", lambda v: _is_integer(v) or isinstance(v, float), float),
+    "number": ("a number", _is_real, float),
     "string": ("a string", lambda v: isinstance(v, str), str),
     "grid": ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_integer, v)), _grid),
 }

@@ -25,11 +25,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from .alphabet import Pmf, _fsum_terms
+from .alphabet import Pmf, _fsum_terms, per_pmf
+from .sampling import _is_real
 
 # Variance this close to zero is rounding noise from a constant log-probability;
 # clamp to exactly 0 and treat the distribution as degenerate.
@@ -67,6 +67,14 @@ class MdpSchedule:
     r: float
 
     def __post_init__(self) -> None:
+        for name in ("rho", "epsilon", "r"):
+            value = getattr(self, name)
+            if not _is_real(value):
+                raise ValueError(f"{name} takes an int or a float, got {value!r}")
+            try:
+                object.__setattr__(self, name, float(value))
+            except OverflowError:
+                raise ValueError(f"{name} lies beyond float range") from None
         if not 0.0 < self.rho < 0.5:
             raise ValueError(f"rho must lie in (0, 1/2), got {self.rho}")
         if not 0.0 < self.epsilon < math.inf:
@@ -103,9 +111,7 @@ class LogLaw:
     summary: PopulationSummary
 
 
-_LAW_CACHE: "WeakKeyDictionary[Pmf, LogLaw]" = WeakKeyDictionary()
-
-
+@per_pmf
 def log_law(pmf: Pmf) -> LogLaw:
     """The cached :class:`LogLaw` of ``pmf``, built by one log pass on first use.
 
@@ -115,26 +121,21 @@ def log_law(pmf: Pmf) -> LogLaw:
     below 1e-14 are rounding residue of a constant log-probability and
     clamp to exactly 0 (degenerate).
     """
-    law = _LAW_CACHE.get(pmf)
-    if law is None:
-        p = pmf.probs
-        logp = np.log(p)
-        logp.flags.writeable = False
-        h = -_fsum_terms(lambda a, b: p[a:b] * logp[a:b], p.size)
+    p = pmf.probs
+    logp = np.log(p)
+    logp.flags.writeable = False
+    h = -_fsum_terms(lambda a, b: p[a:b] * logp[a:b], p.size)
 
-        def spread(a: int, b: int) -> np.ndarray:
-            centered = logp[a:b] + h
-            t = p[a:b] * centered
-            t *= centered
-            return t
+    def spread(a: int, b: int) -> np.ndarray:
+        centered = logp[a:b] + h
+        t = p[a:b] * centered
+        t *= centered
+        return t
 
-        sigma2 = _fsum_terms(spread, p.size)
-        if sigma2 < _DEGENERATE_SIGMA2_TOL:
-            sigma2 = 0.0
-        summary = PopulationSummary(entropy=h, sigma2=sigma2, sigma=math.sqrt(sigma2))
-        law = LogLaw(logp, summary)
-        _LAW_CACHE[pmf] = law
-    return law
+    sigma2 = _fsum_terms(spread, p.size)
+    if sigma2 < _DEGENERATE_SIGMA2_TOL:
+        sigma2 = 0.0
+    return LogLaw(logp, PopulationSummary(entropy=h, sigma2=sigma2, sigma=math.sqrt(sigma2)))
 
 
 def entropy(pmf: Pmf) -> float:

@@ -59,6 +59,7 @@ from .estimator import decompose
 from .sampling import (
     MAX_TOTAL,
     _is_integer,
+    _is_real,
     derive_stream_seeds,
     sample_counts_categorical,
     sample_counts_multinomial,
@@ -105,8 +106,8 @@ class KRule:
     def __post_init__(self) -> None:
         if self.kind not in RULE_KINDS:
             raise ConfigError(f"unknown K rule kind {self.kind!r}; expected one of {RULE_KINDS}")
-        if not math.isfinite(self.value):
-            raise ConfigError(f"K rule {self.kind}:{self.value!r} needs a finite value")
+        if not (_is_real(self.value) and -math.inf < self.value < math.inf):
+            raise ConfigError(f"K rule {self.kind}:{self.value!r} needs a finite int or float")
         if self.kind == "fixed":
             if self.value < 1 or self.value != int(self.value):
                 raise ConfigError(f"fixed K rule needs a positive integer, got {self.value}")
@@ -130,6 +131,8 @@ class KRule:
 
 def parse_k_rule(text: str) -> KRule:
     """Parse ``fixed:K`` | ``pow:kappa`` | ``logpow:kappa``."""
+    if not isinstance(text, str):
+        raise ConfigError(f"K rule must be a string such as fixed:K, got {text!r}")
     kind, sep, arg = text.partition(":")
     kind = kind.strip().lower()
     if not sep or kind not in RULE_KINDS:
@@ -183,7 +186,7 @@ class ExperimentConfig:
             raise ConfigError(f"replicates must be <= 2^24 per grid point, got {self.replicates}")
         if not 0 <= self.master_seed <= (1 << 64) - 1:
             raise ConfigError("master_seed must be a 64-bit unsigned integer")
-        if not (_is_integer(self.delta) or isinstance(self.delta, float)):
+        if not _is_real(self.delta):
             raise ConfigError(f"delta takes an int or a float, got {self.delta!r}")
         if not 0 <= self.delta <= 1:
             raise ConfigError(f"delta must lie in [0, 1], got {self.delta}")

@@ -76,11 +76,10 @@ from dataclasses import dataclass
 from itertools import chain, count
 from math import exp, floor, lgamma, log, log1p, sqrt
 from typing import Iterator
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from .alphabet import Pmf
+from .alphabet import Pmf, per_pmf
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -101,6 +100,17 @@ _INVERSION_CUTOFF = 30.0
 # P(X > 100) < 2^-70; the walk goes further only when the summed CDF
 # rounds below the uniform, and would then walk toward n.
 _INVERSION_MAX = 100
+
+# The lgamma form of BTRS's log test decides only when it clears the bound by
+# h * _LGAMMA_TOL (see sample_counts_multinomial): thousands of times its error.
+_LGAMMA_TOL = 2.0**-40
+# _stirlerr(k) for k = 1..15, correctly rounded; the series serves k > 15.
+_STIRLERR = (
+    0.08106146679532726, 0.0413406959554093, 0.02767792568499834, 0.020790672103765093,
+    0.016644691189821193, 0.013876128823070748, 0.01189670994589177, 0.010411265261972096,
+    0.009255462182712733, 0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
+)
 
 _U64_11 = np.uint64(11)
 _U64_27 = np.uint64(27)
@@ -129,6 +139,11 @@ _STEP = np.arange(_SUB_BLOCK, dtype=np.uint64) * np.uint64(_GOLDEN)
 def _is_integer(x: object) -> bool:
     """The integer contract of seeds, sizes and counts: an ``int`` (so never a bool) or a numpy integer."""
     return type(x) is int or isinstance(x, np.integer)
+
+
+def _is_real(x: object) -> bool:
+    """The contract of every real-valued setting: an integer as :func:`_is_integer` has it, or a float."""
+    return _is_integer(x) or isinstance(x, float)
 
 
 def _check_seed(seed: int, name: str = "stream_seed") -> int:
@@ -335,31 +350,21 @@ def _vose(scaled_probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.frombuffer(threshold), np.frombuffer(alias, dtype=np.int64)
 
 
-_ALIAS_CACHE: "WeakKeyDictionary[Pmf, AliasTable]" = WeakKeyDictionary()
-_PLAN_CACHE: "WeakKeyDictionary[Pmf, memoryview]" = WeakKeyDictionary()
-
-
+@per_pmf
 def _alias_table(pmf: Pmf) -> AliasTable:
-    table = _ALIAS_CACHE.get(pmf)
-    if table is None:
-        table = AliasTable(pmf.probs)
-        _ALIAS_CACHE[pmf] = table
-    return table
+    return AliasTable(pmf.probs)
 
 
+@per_pmf
 def _chain_plan(pmf: Pmf) -> memoryview:
     """The chain's ``p_i / tail_i`` for cells ``0 .. K-2`` (``tail_i`` is the
     suffix mass of cells ``i..K-1``), as a memoryview of a read-only float64
     array, which iterates as Python floats.  A float sum of positive terms
     rounds to at least its largest term, so each ratio lies in (0, 1]."""
-    plan = _PLAN_CACHE.get(pmf)
-    if plan is None:
-        tails = np.cumsum(pmf.probs[::-1])[::-1][:-1]
-        cond = pmf.probs[:-1] / tails
-        cond.flags.writeable = False
-        plan = memoryview(cond)
-        _PLAN_CACHE[pmf] = plan
-    return plan
+    tails = np.cumsum(pmf.probs[::-1])[::-1][:-1]
+    cond = pmf.probs[:-1] / tails
+    cond.flags.writeable = False
+    return memoryview(cond)
 
 
 def sample_counts_categorical(pmf: Pmf, n: int, seed: int) -> CountVector:
@@ -383,12 +388,21 @@ def sample_counts_multinomial(pmf: Pmf, n: int, seed: int) -> CountVector:
     where tail_i is the precomputed suffix mass; the last cell takes the
     draws that remain.  Deterministic given ``seed``.
 
-    Each cell's draw is exact and runs in the loop itself: a ratio of 1
-    takes every remaining draw; above 1/2 the complement is drawn; CDF
-    inversion serves ``remaining * p <= 30`` and Hormann's BTRS above
-    (valid for p <= 1/2 and n*p >= 10).  The BTRS squeeze accepts ~86% of
-    proposals without evaluating logs; the log test's constants are
-    computed only when a proposal first reaches it.
+    Each cell's draw is exact and runs in the loop itself: above 1/2 the
+    complement is drawn (so a ratio of 1 is drawn as 0 by inversion, and
+    the cell takes every remaining draw); CDF inversion serves
+    ``remaining * p <= 30`` and Hormann's BTRS above (valid for p <= 1/2
+    and n*p >= 10).  The BTRS squeeze accepts ~86% of proposals without
+    evaluating logs; the log test's constants are computed only when a
+    proposal first reaches it.
+
+    The log test compares with ln f(x)/f(m), f the binomial pmf and m its
+    mode.  Its lgamma form ``h - lgamma(x+1) - lgamma(n-x+1) + (x-m) ln(p/q)``
+    with ``h = lgamma(m+1) + lgamma(n-m+1)`` is fast but cancels: it errs by
+    a few ulps of h, about 3e4 at n = 2^62.  So it decides only when it
+    clears the bound by ``tol = h * 2^-40``; otherwise
+    :func:`_binomial_log_ratio`, whose error does not grow with n, decides.
+    Every decision is then the one that form makes, at any n.
     """
     n = _check_total(n)
     draw = chain.from_iterable(_stream_blocks(_check_seed(seed))).__next__
@@ -396,10 +410,6 @@ def sample_counts_multinomial(pmf: Pmf, n: int, seed: int) -> CountVector:
     remaining = n
     for i, p in enumerate(_chain_plan(pmf)):
         if remaining == 0:
-            break
-        if p >= 1.0:
-            counts[i] = remaining
-            remaining = 0
             break
         flipped = p > 0.5
         if flipped:
@@ -431,8 +441,10 @@ def sample_counts_multinomial(pmf: Pmf, n: int, seed: int) -> CountVector:
                     lpq = log(p / q)
                     m = floor((remaining + 1) * p)
                     h = lgamma(m + 1) + lgamma(remaining - m + 1)
-                log_accept = h - lgamma(x + 1) - lgamma(remaining - x + 1) + (x - m) * lpq
-                if log(v * alpha / (a / (us * us) + b)) <= log_accept:
+                    tol = h * _LGAMMA_TOL
+                lhs = log(v * alpha / (a / (us * us) + b))
+                gap = h - lgamma(x + 1) - lgamma(remaining - x + 1) + (x - m) * lpq - lhs
+                if gap >= tol or gap > -tol and lhs <= _binomial_log_ratio(remaining, p, x, m):
                     break
         if flipped:
             x = remaining - x
@@ -440,6 +452,37 @@ def sample_counts_multinomial(pmf: Pmf, n: int, seed: int) -> CountVector:
         remaining -= x
     counts[-1] = remaining
     return _frozen_counts(np.array(counts, dtype=np.int64), n)
+
+
+def _binomial_log_ratio(n: int, p: float, x: int, m: int) -> float:
+    """``ln f(x) - ln f(m)`` for the Binomial(n, p) pmf f, with no term that grows with n.
+
+    Stirling's formula with its error term, ``ln j! = (j + 1/2) ln(j + 1) -
+    (j + 1) + ln(2 pi)/2 + _stirlerr(j + 1)``, at j = x, m, n - x and n - m;
+    the logs of ratios near 1 come from ``log1p`` of exact integer
+    differences (Hormann 1993, J. Stat. Comput. Simul. 46:101).  The error
+    is a few ulps of ``|x - m|``, as from a change in p of a few ulps.
+    """
+    d = x - m
+    return (
+        _stirlerr(m + 1) + _stirlerr(n - m + 1) - _stirlerr(x + 1) - _stirlerr(n - x + 1)
+        + (n - m + 0.5) * log1p(d / (n - x + 1))
+        - (m + 0.5) * log1p(d / (m + 1))
+        + d * log(p * (n - x + 1) / ((1.0 - p) * (x + 1)))
+    )
+
+
+def _stirlerr(k: int) -> float:
+    """The error of Stirling's formula, ``ln k! - ln(sqrt(2 pi k) (k/e)^k)``, for an integer k >= 1.
+
+    A table up to k = 15; above, six terms of the asymptotic series
+    ``1/(12k) - 1/(360k^3) + ...``, within 2 ulps there.
+    """
+    if k <= 15:
+        return _STIRLERR[k - 1]
+    r = 1.0 / k
+    rr = r * r
+    return r * (1 / 12 - rr * (1 / 360 - rr * (1 / 1260 - rr * (1 / 1680 - rr * (1 / 1188 - rr * 691 / 360360)))))
 
 
 def _binomial_inversion(n: int, p: float, u: float) -> int:

@@ -36,6 +36,7 @@ from entrokit.sampling import (
     _check_seed,
     _mantissas,
     _mix64,
+    _stirlerr,
 )
 
 _DPS = 40
@@ -87,6 +88,23 @@ def mp_exp_envelope(probs, delta: float) -> float:
         sigma = mp.sqrt(mp.fsum(p * mp.ln(p) ** 2 for p in ps) - h * h)
         d = mp.mpf(repr(float(delta)))
         return float(mp.fsum(p ** (1 - d / sigma) for p in ps) * mp.exp(d * h / sigma))
+
+
+def mp_stirlerr(k: int) -> float:
+    """ln k! - ln(sqrt(2 pi k) (k/e)^k); the digits cover the cancellation up to k = 2^62."""
+    with mp.workdps(80):
+        return float(mp.loggamma(k + 1) - (k + mp.mpf(0.5)) * mp.log(k) + k - mp.log(2 * mp.pi) / 2)
+
+
+def mp_binomial_log_ratio(n: int, p: float, x: int, m: int) -> float:
+    """ln f(x) - ln f(m) for the Binomial(n, p) pmf f, from log-gammas in 80-digit arithmetic."""
+    with mp.workdps(80):
+        p = mp.mpf(p)
+        q = 1 - p
+        return float(
+            mp.loggamma(m + 1) + mp.loggamma(n - m + 1) - mp.loggamma(x + 1) - mp.loggamma(n - x + 1)
+            + (x - m) * (mp.log(p) - mp.log(q))
+        )
 
 
 def normal_cdf_quadrature(x: float, steps: int = 20001) -> float:
@@ -242,10 +260,16 @@ def _binomial_btrs(n: int, p: float, rng: ScalarRng) -> int:
             return k
         if h is None:
             alpha = (2.83 + 5.1 / b) * spq
-            lpq = math.log(p / q)
             m = math.floor((n + 1) * p)
-            h = math.lgamma(m + 1) + math.lgamma(n - m + 1)
-        log_accept = h - math.lgamma(k + 1) - math.lgamma(n - k + 1) + (k - m) * lpq
+            h = _stirlerr(m + 1) + _stirlerr(n - m + 1)
+        # ln f(k)/f(m) from Stirling's formula with its error terms: no term grows with n
+        d = k - m
+        log_accept = (
+            h - _stirlerr(k + 1) - _stirlerr(n - k + 1)
+            + (n - m + 0.5) * math.log1p(d / (n - k + 1))
+            - (m + 0.5) * math.log1p(d / (m + 1))
+            + d * math.log(p * (n - k + 1) / (q * (k + 1)))
+        )
         if math.log(v * alpha / (a / (us * us) + b)) <= log_accept:
             return k
 

@@ -2,6 +2,7 @@ import ast
 import csv
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -610,6 +611,28 @@ def test_payload_and_csv_match_recorded_hashes(tmp_path, args, json_sha, csv_sha
     assert run_cli(args + ["--out", str(out), "--csv", str(csv_path)]) == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == json_sha
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == csv_sha
+
+
+def _benchmark_workloads():
+    """The benchmark's workload table module, loaded from its file."""
+    path = Path(__file__).parents[1] / "benchmarks" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_payloads_match_their_pins(tmp_path):
+    # every call of every benchmark workload at the default seed, each with its
+    # own --workers, against benchmarks/pins.json: a moved byte shows in tier-1
+    workloads = _benchmark_workloads()
+    pins = workloads.load_pins()
+    assert set(pins) == set(workloads.WORKLOADS)
+    for name, workload in workloads.WORKLOADS.items():
+        for index, (call, pin) in enumerate(zip(workload.calls, pins[name], strict=True)):
+            out = tmp_path / f"{name}-{index}.json"
+            assert run_cli(call.args(workloads.DEFAULT_SEED, out)) == EXIT_OK
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == pin, f"{name} call {index}"
 
 
 def test_payload_keys_are_the_record_fields(tmp_path):

@@ -2,6 +2,7 @@ import gc
 import math
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from entrokit.alphabet import (
 )
 from entrokit.estimator import decompose
 from entrokit.exact import (
-    _LAW_CACHE,
     DegenerateVarianceError,
     MdpSchedule,
     abs_central_moment,
@@ -32,7 +32,7 @@ from entrokit.exact import (
     split_moment_bound,
 )
 
-from entrokit.sampling import derive_stream_seeds, sample_counts_multinomial
+from entrokit.sampling import _alias_table, _chain_plan, derive_stream_seeds, sample_counts_multinomial
 
 from oracles import (
     mp_abs_central_moment,
@@ -153,14 +153,16 @@ class TestLogLaw:
             law.logp[0] = 0.0
         assert law.logp.tolist() == np.log(pmf.probs).tolist()
 
-    def test_cache_entry_dies_with_its_pmf(self):
+    @pytest.mark.parametrize("table", [log_law, _chain_plan, _alias_table], ids=lambda f: f.__name__)
+    def test_cache_entry_dies_with_its_pmf(self, table):
+        # every per-Pmf table is built once and freed with its Pmf
         pmf = build_family(FamilySpec(HARMONIC, 50))
-        log_law(pmf)
-        assert pmf in _LAW_CACHE
-        before = len(_LAW_CACHE)
-        del pmf
+        value = table(pmf)
+        assert table(pmf) is value
+        ref = weakref.ref(value)
+        del pmf, value
         gc.collect()
-        assert len(_LAW_CACHE) == before - 1
+        assert ref() is None
 
 
 class TestEntropy:
@@ -411,6 +413,26 @@ class TestMdpCondition:
             MdpSchedule(rho=0.1, epsilon=0.0, r=1.0)
         with pytest.raises(ValueError):
             MdpSchedule(rho=0.1, epsilon=1.0, r=-0.5)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("rho", "0.1"), ("r", None), ("r", True), ("epsilon", True), ("epsilon", [1.0]), ("r", np.float32(1.0))],
+        ids=repr,
+    )
+    def test_schedule_takes_an_int_or_a_float(self, field, value):
+        # "0.1" and None raised a bare TypeError; True was held as True
+        settings = {"rho": 0.1, "epsilon": 1.0, "r": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"{field} takes an int or a float"):
+            MdpSchedule(**settings)
+
+    def test_schedule_holds_floats(self):
+        schedule = MdpSchedule(rho=0.25, epsilon=np.int64(2), r=1)
+        assert [type(v) for v in (schedule.rho, schedule.epsilon, schedule.r)] == [float] * 3
+        assert (schedule.epsilon, schedule.r) == (2.0, 1.0)
+        with pytest.raises(ValueError, match="r lies beyond float range"):
+            MdpSchedule(rho=0.25, epsilon=1.0, r=10**400)
+        with pytest.raises(ValueError, match=r"r\*r finite"):
+            MdpSchedule(rho=0.25, epsilon=1.0, r=10**200)
 
 
 class TestNormalCdf:

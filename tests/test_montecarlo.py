@@ -70,6 +70,18 @@ class TestKRule:
         with pytest.raises(ConfigError, match=f"K rule {text.partition(':')[0]}:"):
             parse_k_rule(text)
 
+    @pytest.mark.parametrize("value", [True, False, "5", None, np.float32(2.0)], ids=repr)
+    def test_value_takes_an_int_or_a_float(self, value):
+        # True was accepted as K = 1
+        with pytest.raises(ConfigError, match="needs a finite int or float"):
+            KRule("fixed", value)
+
+    @pytest.mark.parametrize("text", [5, None, b"fixed:5"], ids=repr)
+    def test_parse_takes_a_string(self, text):
+        # 5 raised AttributeError from text.partition
+        with pytest.raises(ConfigError, match="K rule must be a string"):
+            parse_k_rule(text)
+
     @pytest.mark.parametrize("text", ["pow:1000", "logpow:1e5"])
     def test_k_beyond_float_range_is_config_error(self, text):
         with pytest.raises(ConfigError, match="float range"):

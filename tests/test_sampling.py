@@ -12,23 +12,27 @@ import numpy as np
 import pytest
 from scipy.stats import binom, chi2
 
+from entrokit import sampling
 from entrokit.alphabet import FamilySpec, HARMONIC, build_family, validate_pmf
 from entrokit.sampling import (
     _BLOCK,
     _DRAW_BATCH,
     _GOLDEN,
     _INVERSION_MAX,
+    _LGAMMA_TOL,
     _SCALAR_DRAWS,
     _SUB_BLOCK,
     MAX_TOTAL,
     AliasTable,
     CountVector,
     _binomial_inversion,
+    _binomial_log_ratio,
     _chain_plan,
     _mantissas,
     _mix64,
     _alias_table,
     _mix64_array,
+    _stirlerr,
     _stream_blocks,
     derive_stream_seeds,
     sample_counts_categorical,
@@ -43,6 +47,8 @@ from oracles import (
     alias_draw,
     chain_counts,
     derive_stream_seed,
+    mp_binomial_log_ratio,
+    mp_stirlerr,
 )
 
 SAMPLERS = (sample_counts_categorical, sample_counts_multinomial)
@@ -394,14 +400,18 @@ GOLDEN_CHAIN = (
     ("expgeom:30", 10_000, 16, "66f598cdf63debfd7a22f853009d135b515b0e802ee97e5fd142f76016ca8840"),
     # flipped inversion
     ((0.999, 0.001), 10_000, 16, "cff7bd5b03c019b6fa5105e8ba480e09b883873eb17c4e9786d2e94d6e804299"),
-    # the last chain cell has p_cond >= 1 (its tail rounds to p_i)
+    # the last chain cell has p_cond = 1 (its tail rounds to p_i): the flipped
+    # inversion takes every remaining draw
     ((0.5, 0.5, 1e-300), 1000, 16, "033daed853bd2259b6e3e594541a6babf73e7acf720bedd2fccf9d732b7d36a6"),
     # n < K: the chain runs out of draws early
     ("harmonic:1000", 5, 16, "c875a2921bbd717b89d390a71551b13bea90e4105f34680369e5aafbfdf5815f"),
     ("harmonic:6", 1, 16, "22d99fb5546f055feb233228fe0e3e23d44d76c5af03447b262e955a9b541fda"),
     ("uniform:2", 10**6, 16, "7e43fd7d3c6bc2ffa426a9338330435f52bf48920f9c53d8a60a1e45edda31d3"),
+    # BTRS at n = 1e12: recorded with the lgamma acceptance test, kept by the Stirling form
     ("harmonic:100", 10**12, 8, "0f17f01b8f8463eb3154f1331e5272e157c181b6ca4e30469810feed8231a7eb"),
-    ("expgeom:2", MAX_TOTAL, 8, "02c74721ee4b06334062a36dad539fb34c2cfbc60145867aa785aeeabf974a32"),
+    # BTRS at n*p near 1.2e18, re-recorded for the Stirling form (the lgamma form
+    # erred by about 3e4 in log space there)
+    ("expgeom:2", MAX_TOTAL, 8, "28202e22bb1143bada0e0ba5f37e912c3c23a76024d1370d83f9c4270cff0ba4"),
 )
 
 
@@ -473,6 +483,21 @@ class TestChainGolden:
         assert np.all(ratios > 0.0) and np.all(ratios <= 1.0)
 
 
+def _assert_binomial_sample(samples, n, p, top):
+    """Mean, variance and a binned chi-square of draws in [0, top] against Binomial(n, p)."""
+    draws = samples.size
+    mean, var, _, kurtosis = (float(v) for v in binom.stats(n, p, moments="mvsk"))
+    assert abs(samples.mean() - mean) <= 5.0 * math.sqrt(var / draws)
+    # the sample variance's standard error is var * sqrt((excess kurtosis + 2) / draws)
+    assert abs(samples.var(ddof=1) - var) <= 5.0 * var * math.sqrt((kurtosis + 2.0) / draws)
+    qs = np.unique([binom.ppf(q, n, p) for q in (0.05, 0.2, 0.4, 0.6, 0.8, 0.95)])
+    edges = [-0.5, *(qs + 0.5), top + 0.5]
+    observed = np.histogram(samples, bins=edges)[0]
+    probs = np.diff([binom.cdf(e, n, p) for e in edges])
+    stat = float(np.sum((observed - draws * probs) ** 2 / (draws * probs)))
+    assert stat < chi2.ppf(0.999, len(observed) - 1)
+
+
 class TestBinomialSampler:
     def test_degenerate_probabilities(self):
         rng = ScalarRng(5)
@@ -497,21 +522,21 @@ class TestBinomialSampler:
     )
     def test_inversion_at_huge_n_matches_exact_distribution(self, n, p):
         # 1 - p keeps few or none of p's bits here, so (1 - p)**n is far off
-        # P(X = 0) (at n = 1e18 it is 1.0); mean, variance and shape against scipy
-        draws = 20_000
+        # P(X = 0) (at n = 1e18 it is 1.0)
         rng = ScalarRng(n % 1009)
         with _time_limit(60):
-            samples = np.array([_binomial_inversion(n, p, rng.uniform()) for _ in range(draws)])
-        mean, var, _, kurtosis = (float(v) for v in binom.stats(n, p, moments="mvsk"))
-        assert abs(samples.mean() - mean) <= 5.0 * math.sqrt(var / draws)
-        # the sample variance's standard error is var * sqrt((excess kurtosis + 2) / draws)
-        assert abs(samples.var(ddof=1) - var) <= 5.0 * var * math.sqrt((kurtosis + 2.0) / draws)
-        qs = np.unique([binom.ppf(q, n, p) for q in (0.05, 0.2, 0.4, 0.6, 0.8, 0.95)])
-        edges = [-0.5, *(qs + 0.5), _INVERSION_MAX + 0.5]
-        observed = np.histogram(samples, bins=edges)[0]
-        probs = np.diff([binom.cdf(e, n, p) for e in edges])
-        stat = float(np.sum((observed - draws * probs) ** 2 / (draws * probs)))
-        assert stat < chi2.ppf(0.999, len(observed) - 1)
+            samples = np.array([_binomial_inversion(n, p, rng.uniform()) for _ in range(20_000)])
+        _assert_binomial_sample(samples, n, p, _INVERSION_MAX)
+
+    @pytest.mark.parametrize("n", [10**14, 10**17, MAX_TOTAL], ids=["1e14", "1e17", "2^62"])
+    def test_btrs_at_huge_n_matches_exact_distribution(self, n):
+        # n p = 1000, so the chain's first cell runs BTRS; its lgamma log test
+        # alone erred by about 3e4 at n = 2^62, where the variance read 15 600
+        pmf = validate_pmf([1000.0 / n, 1.0 - 1000.0 / n])
+        seeds = derive_stream_seeds(n % 1009, 0, 20_000).tolist()
+        with _time_limit(60):
+            samples = np.array([sample_counts_multinomial(pmf, n, seed).counts[0] for seed in seeds])
+        _assert_binomial_sample(samples, n, _chain_plan(pmf)[0], n)
 
     @pytest.mark.parametrize("n, p", [(10**14, 1e-13), (2**40 - 1, 1e-11)], ids=["1e14", "2^40-1"])
     @pytest.mark.parametrize("u", [0.5, 0.999, 0.9999, 1.0 - 2.0**-53])
@@ -523,6 +548,34 @@ class TestBinomialSampler:
         assert 0 <= x <= _INVERSION_MAX
         if u <= 0.9999:
             assert x == binom.ppf(u, n, p)
+
+    def test_stirlerr_matches_mpmath(self):
+        for k in [*range(1, 40), 80, 81, 500, 501, 10**6, 2**31, 10**12, MAX_TOTAL]:
+            assert _stirlerr(k) == pytest.approx(mp_stirlerr(k), rel=1e-15, abs=0.0), k
+
+    @staticmethod
+    def _log_test_cases(count=300):
+        """(n, p, x, m) as BTRS's log test sees them: n*p > 30, p <= 1/2, x within 8 sd of the mode m."""
+        rng = random.Random(41)
+        for _ in range(count):
+            n = int(2.0 ** rng.uniform(6.0, 62.0))
+            p = min(0.5, 10.0 ** rng.uniform(math.log10(30.5), math.log10(n / 2)) / n)
+            m = math.floor((n + 1) * p)
+            x = min(n, max(0, m + int(rng.uniform(-8.0, 8.0) * math.sqrt(n * p * (1 - p)))))
+            yield n, p, x, m
+
+    def test_log_ratio_error_does_not_grow_with_n(self):
+        for n, p, x, m in self._log_test_cases():
+            exact = mp_binomial_log_ratio(n, p, x, m)
+            assert abs(_binomial_log_ratio(n, p, x, m) - exact) <= 1e-14 * max(1, abs(x - m)), (n, p, x)
+
+    def test_lgamma_form_decides_only_far_inside_its_error(self):
+        # the chain takes the lgamma form's decision when it clears the bound by
+        # h * _LGAMMA_TOL; its error (a few ulps of h) must stay far below that
+        for n, p, x, m in self._log_test_cases():
+            h = math.lgamma(m + 1) + math.lgamma(n - m + 1)
+            fast = h - math.lgamma(x + 1) - math.lgamma(n - x + 1) + (x - m) * math.log(p / (1 - p))
+            assert abs(fast - mp_binomial_log_ratio(n, p, x, m)) <= h * _LGAMMA_TOL / 256, (n, p, x)
 
     def test_btrs_matches_exact_distribution(self):
         # n p = 60 > 30: rejection path against the exact pmf
@@ -684,6 +737,20 @@ class TestCategoricalKernel:
             got = alias_draw(AliasTable(pmf.probs), CounterRng(seed), count)
             want = _reference_draw(pmf.probs.copy(), CounterRng(seed), count)
             assert np.array_equal(got, want), trial
+
+    def test_table_is_built_once_per_pmf(self, monkeypatch):
+        # the table is looked up by name at build time, so a wrapper sees every build
+        built = []
+
+        def counting(probs):
+            built.append(probs.size)
+            return AliasTable(probs)
+
+        monkeypatch.setattr(sampling, "AliasTable", counting)
+        pmf = build_family(FamilySpec(HARMONIC, 30))
+        draws = [sample_counts_categorical(pmf, 500, seed).counts.tolist() for seed in (1, 2, 1)]
+        assert built == [30]
+        assert draws[0] == draws[2] != draws[1]
 
     def test_temporaries_stay_bounded(self):
         # n = 3*2^20 + 5 crosses _DRAW_BATCH three times; the kernel works in
