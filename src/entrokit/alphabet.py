@@ -59,11 +59,16 @@ class PmfError(ValueError):
 
 
 # _fsum: arrays shorter than _FSUM_MIN_SIZE go to math.fsum, which is faster
-# there (the two cross near 1400 values).  Longer ones, and every _fsum_terms
-# stream, are summed in blocks of _FSUM_BLOCK values with two 128 KB work
-# buffers, extracting 53 - _FSUM_LIFT bits per pass.  Below _FSUM_MAX_ABS, fewer than 2^60 terms cannot bring any
+# there.  Per decompose call (its four sums; harmonic and logharmonic Pmfs,
+# n=1e6) the two cross near 576 values, and on the once-per-Pmf sums (log_law,
+# the functionals, the Pmf sum check) near 1000-1400; mdp_condition's
+# underflowing terms cross above 2048.  768 lies between, and above expgeom's
+# largest K (745), whose build so holds no work buffers.
+# Longer arrays, and every _fsum_terms stream, are summed in blocks of
+# _FSUM_BLOCK values with two 128 KB work buffers, extracting 53 - _FSUM_LIFT
+# bits per pass.  Below _FSUM_MAX_ABS, fewer than 2^60 terms cannot bring any
 # partial sum near overflow.
-_FSUM_MIN_SIZE = 2048
+_FSUM_MIN_SIZE = 768
 _FSUM_BLOCK = 1 << 14
 _FSUM_LIFT = _FSUM_BLOCK.bit_length()  # every block holds fewer than 2^_FSUM_LIFT values
 _FSUM_MAX_ABS = 2.0**960

@@ -28,7 +28,7 @@ from operator import mul, sub, truediv
 
 import numpy as np
 
-from .alphabet import Pmf, _fsum
+from .alphabet import Pmf, _fsum, per_pmf
 from .exact import log_law
 from .sampling import CountVector
 
@@ -38,6 +38,8 @@ _KL_CLAMP_TOL = 1e-12
 # replicate the float path took 0.53x the array path's time at K=2, 0.92-0.98x
 # at K=16 and 1.07-1.16x at K=24 (n=1e5, CPython 3.11, numpy 2.4, 2 vCPUs).
 _SMALL_K = 16
+# decompose keeps at most this many small-alphabet reports per Pmf.
+_MEMO_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -82,18 +84,46 @@ def decompose(counts: CountVector, pmf: Pmf) -> DecompositionReport:
     cells (never through the ratio), which avoids 0/0 and cancellation
     when the empirical and true probabilities nearly agree; a result
     within -1e-12 of zero is rounding residue and clamps to exactly 0.
+
+    Up to ``_SMALL_K`` symbols, the reports of the first ``_MEMO_CAP``
+    distinct count vectors are kept per Pmf, so equal counts on one Pmf
+    may return the same frozen report.
     """
     if counts.size != pmf.size:
         raise ValueError(
             f"counts length {counts.size} does not match alphabet size {pmf.size}"
         )
+    if pmf.size > _SMALL_K:
+        return _decompose(counts, pmf)
+    memo = _small_reports(pmf)
+    key = counts.counts.tobytes()  # the int64 counts, which fix the total too
+    report = memo.get(key)
+    if report is None:
+        report = _decompose(counts, pmf)
+        if len(memo) < _MEMO_CAP:
+            memo[key] = report
+    return report
+
+
+class _Reports(dict):
+    """One Pmf's small-alphabet reports, keyed by the counts' bytes (a dict
+    subclass, so it can be weakly referenced)."""
+
+
+@per_pmf
+def _small_reports(pmf: Pmf) -> _Reports:
+    return _Reports()
+
+
+def _decompose(counts: CountVector, pmf: Pmf) -> DecompositionReport:
     law = log_law(pmf)
     pop = law.summary
     if pmf.size <= _SMALL_K:
         # The array path's operations on floats: int->float, +, -, * and /
         # round correctly in both, diff**2 is diff*diff, and _fsum is
-        # math.fsum below 2048 values.  The logs still come from np.log over
-        # the same compacted array, as numpy's log is not libm's.
+        # math.fsum below _FSUM_MIN_SIZE (> _SMALL_K) values.  The logs still
+        # come from np.log over the same compacted array, as numpy's log is
+        # not libm's.
         total = float(counts.total)
         phat = [c / total for c in counts.counts.tolist()]
         p = pmf.probs.tolist()

@@ -479,13 +479,14 @@ def run_mdp(config: ExperimentConfig) -> list[MdpCell]:
             target = -0.5 * schedule.r**2
             condition = mdp_condition(pmf, n, schedule)
             # Gaussian approximation of the exceedance probability sizes the
-            # replicate count so ~20 exceedances are expected.
-            p_gauss = 2.0 * (1.0 - normal_cdf(threshold))
-            needed = config.replicates if p_gauss <= 0.0 else math.ceil(20.0 / p_gauss)
-            if p_gauss <= 0.0 or needed > max(_MDP_MAX_REPLICATES, config.replicates):
+            # replicate count so ~20 exceedances are expected.  The tail is
+            # taken without cancellation, and compared before dividing, as 20/p
+            # overflows for a subnormal p (threshold near 38).
+            p_gauss = 2.0 * normal_cdf(-threshold)
+            if 20.0 > max(_MDP_MAX_REPLICATES, config.replicates) * p_gauss:
                 m_used, exceedances, flag = 0, 0, "infeasible"
             else:
-                m_used = max(config.replicates, needed)
+                m_used = max(config.replicates, math.ceil(20.0 / p_gauss))
                 z = replicates.simulate(pmf, n, gi, m_used)[:, 0]
                 exceedances = int(np.sum(np.abs(z) > threshold))
                 flag = "ok" if exceedances else "no-exceedances"

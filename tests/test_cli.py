@@ -239,6 +239,25 @@ class TestCltCommand:
         assert run_cli(CLT_ARGS + ["--workers", "2", "--out", str(out2)]) == EXIT_OK
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["clt", "--family", "harmonic", "--K-rule", "fixed:2", "--n-grid", "100,10000", "--reps", "600"],
+            ["mdp", "--family", "expgeom", "--K-rule", "logpow:0.4", "--n-grid", "1000,10000", "--reps", "600"]
+            + ["--mdp-rho", "0.1", "--mdp-eps", "1.0", "--mdp-r", "1.1"],
+        ],
+        ids=["clt", "mdp"],
+    )
+    def test_k2_bytes_at_one_and_two_workers(self, tmp_path, args):
+        # K=2 replicates repeat their counts, so most decompose calls are memo
+        # hits, and each pool task starts its Pmf's memo afresh
+        outs = [tmp_path / f"w{workers}.json" for workers in (1, 2)]
+        for workers, out in zip((1, 2), outs):
+            assert run_cli(args + ["--seed", "5", "--workers", str(workers), "--out", str(out)]) == EXIT_OK
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        [records] = json.loads(outs[0].read_text())["results"].values()
+        assert {record["K"] for record in records} == {2}
+
     def test_config_file_round_trip_bytes(self, tmp_path):
         config = {
             "family": "harmonic",

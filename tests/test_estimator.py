@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from dataclasses import fields
 
 import numpy as np
@@ -8,7 +10,7 @@ from entrokit import estimator
 from entrokit.alphabet import FamilySpec, HARMONIC, UNIFORM, build_family, validate_pmf
 from entrokit.estimator import DecompositionReport, _SMALL_K, decompose, empirical_pmf, plugin_entropy
 from entrokit.exact import population_summary
-from entrokit.sampling import CountVector, derive_stream_seeds, sample_counts_multinomial
+from entrokit.sampling import CountVector, derive_stream_seeds, sample_counts_categorical, sample_counts_multinomial
 
 from oracles import mp_entropy, mp_sigma2, random_pmf
 
@@ -117,6 +119,11 @@ class TestDecompose:
             decompose(cv([1, 2, 3]), pmf)
 
 
+def assert_same_report(a, b):
+    for field in fields(DecompositionReport):
+        assert repr(getattr(a, field.name)) == repr(getattr(b, field.name)), field.name
+
+
 class TestSmallAlphabetPath:
     """Up to _SMALL_K symbols decompose sums Python floats; every field must
     carry the array path's bits."""
@@ -124,12 +131,12 @@ class TestSmallAlphabetPath:
     @staticmethod
     def assert_paths_agree(monkeypatch, counts, pmf):
         monkeypatch.setattr(estimator, "_SMALL_K", pmf.size)
+        estimator._small_reports(pmf).clear()  # the float path runs, not the memo
         small = decompose(counts, pmf)
         monkeypatch.setattr(estimator, "_SMALL_K", pmf.size - 1)
         array = decompose(counts, pmf)
         monkeypatch.setattr(estimator, "_SMALL_K", _SMALL_K)
-        for field in fields(DecompositionReport):
-            assert repr(getattr(small, field.name)) == repr(getattr(array, field.name)), field.name
+        assert_same_report(small, array)
         assert repr(decompose(counts, pmf)) == repr(array)
         return array
 
@@ -192,6 +199,69 @@ class TestSmallAlphabetPath:
             counts = cv(np.arange(1, k + 1))
             decompose(counts, build_family(FamilySpec(HARMONIC, k)))
         assert [c.size for c in calls] == [_SMALL_K + 1]
+
+
+class TestReportMemo:
+    """Up to _SMALL_K symbols decompose keeps each distinct count vector's
+    report per Pmf; a memo hit must carry a fresh computation's bits."""
+
+    @pytest.mark.parametrize("sample", [sample_counts_multinomial, sample_counts_categorical])
+    @pytest.mark.parametrize("k", [2, 3, 8, _SMALL_K])
+    def test_warm_equals_cold(self, k, sample):
+        pmf = build_family(FamilySpec(HARMONIC, k))
+        seen = set()
+        for n in (3, 20, 1000):  # n=3 repeats count vectors at every k
+            for seed in derive_stream_seeds(k * n, 0, 200).tolist():
+                counts = sample(pmf, n, seed)
+                seen.add(counts.counts.tobytes())
+                cold = estimator._decompose(counts, pmf)
+                warm = decompose(counts, pmf)
+                assert decompose(counts, pmf) is warm
+                assert_same_report(warm, cold)
+        assert len(estimator._small_reports(pmf)) == len(seen)
+
+    def test_equal_counts_share_one_report(self):
+        pmf = build_family(FamilySpec(HARMONIC, 3))
+        first = decompose(cv([4, 0, 1]), pmf)
+        assert decompose(cv([4, 0, 1]), pmf) is first
+        assert decompose(cv([4, 1, 0]), pmf) is not first
+
+    @pytest.mark.parametrize("cap", [5, estimator._MEMO_CAP])
+    def test_table_stops_at_its_cap(self, monkeypatch, cap):
+        monkeypatch.setattr(estimator, "_MEMO_CAP", cap)
+        pmf = build_family(FamilySpec(HARMONIC, 2))
+        memo = estimator._small_reports(pmf)
+        total = cap + 50
+        for heads in range(total + 1):
+            counts = cv([heads, total - heads])
+            assert_same_report(decompose(counts, pmf), estimator._decompose(counts, pmf))
+            assert len(memo) == min(heads + 1, cap)
+        # past the cap a report is computed afresh on every call
+        assert decompose(cv([total, 0]), pmf) is not decompose(cv([total, 0]), pmf)
+        assert decompose(cv([0, total]), pmf) is decompose(cv([0, total]), pmf)
+
+    def test_length_mismatch_raises_on_a_warm_table(self):
+        pmf = validate_pmf((0.5, 0.5))
+        decompose(cv([1, 2]), pmf)
+        assert len(estimator._small_reports(pmf)) == 1
+        for counts in ([1, 2, 0], [3]):
+            with pytest.raises(ValueError, match="match"):
+                decompose(cv(counts), pmf)
+        assert len(estimator._small_reports(pmf)) == 1
+
+    def test_no_memo_above_small_k(self):
+        pmf = build_family(FamilySpec(HARMONIC, _SMALL_K + 1))
+        counts = cv(np.arange(1, _SMALL_K + 2))
+        assert decompose(counts, pmf) is not decompose(counts, pmf)
+        assert len(estimator._small_reports(pmf)) == 0
+
+    def test_filled_table_dies_with_its_pmf(self):
+        pmf = build_family(FamilySpec(HARMONIC, 2))
+        report = decompose(cv([7, 3]), pmf)
+        refs = weakref.ref(estimator._small_reports(pmf)), weakref.ref(report)
+        del pmf, report
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
 
 
 class TestStandardizedScaling:

@@ -16,7 +16,7 @@ from entrokit.alphabet import (
     build_family,
     validate_pmf,
 )
-from entrokit.estimator import decompose
+from entrokit.estimator import _small_reports, decompose
 from entrokit.exact import (
     DegenerateVarianceError,
     MdpSchedule,
@@ -153,7 +153,7 @@ class TestLogLaw:
             law.logp[0] = 0.0
         assert law.logp.tolist() == np.log(pmf.probs).tolist()
 
-    @pytest.mark.parametrize("table", [log_law, _chain_plan, _alias_table], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("table", [log_law, _chain_plan, _alias_table, _small_reports], ids=lambda f: f.__name__)
     def test_cache_entry_dies_with_its_pmf(self, table):
         # every per-Pmf table is built once and freed with its Pmf
         pmf = build_family(FamilySpec(HARMONIC, 50))

@@ -441,6 +441,15 @@ class TestRunMdp:
         assert cell.flag == "ok"
         assert cell.replicates_used == 6000
 
+    @pytest.mark.parametrize("r", [3.8, 4.0])
+    def test_far_threshold_is_infeasible_without_overflow(self, r):
+        # b_n = 10: at threshold 38 the Gaussian tail is subnormal, so 20/p
+        # overflows; at 40 it is exactly zero
+        cfg = small_config(n_grid=(10_000,), mdp=MdpSchedule(rho=0.25, epsilon=1.0, r=r))
+        [cell] = run_mdp(cfg)
+        assert cell.threshold == 10.0 * r
+        assert (cell.flag, cell.replicates_used, cell.p_hat) == ("infeasible", 0, None)
+
     def test_expgeom_trend_smoke(self):
         cfg = ExperimentConfig(
             family="expgeom",
