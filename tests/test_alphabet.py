@@ -201,7 +201,8 @@ def _outcome(fn, values):
 
 def _fsum_corpus():
     rng = np.random.default_rng(2015)
-    sizes = (1, 100, _FSUM_MIN_SIZE - 1, _FSUM_MIN_SIZE, _FSUM_BLOCK, _FSUM_BLOCK + 1, 3 * _FSUM_BLOCK + 7)
+    # 2047 and 2048: arrays past the threshold but short of one block, summed as one partial block
+    sizes = (1, 100, _FSUM_MIN_SIZE - 1, _FSUM_MIN_SIZE, _FSUM_BLOCK, _FSUM_BLOCK + 1, 3 * _FSUM_BLOCK + 7, 2047, 2048)
     for size in sizes:
         normal = rng.standard_normal(size)
         spread = normal * np.exp2(rng.integers(-1074, 960, size))
@@ -267,7 +268,7 @@ def _fsum_block_corpus():
     mixed = block(np.concatenate([subnormal[:100], normal[:100]]))
     yield "subnormal-normal-blocks", np.concatenate([subnormal, mixed])
     yield "subnormal-cancel", np.concatenate([subnormal, -subnormal[::-1], [5e-324]])
-    for size in (_FSUM_MIN_SIZE, b + 1):
+    for size in (_FSUM_MIN_SIZE, 2048, b + 1):
         yield f"poszeros-{size}", np.zeros(size)
 
 
