@@ -175,8 +175,9 @@ class Pmf:
         object.__setattr__(self, "probs", probs)
 
     def __setstate__(self, state: dict) -> None:
-        # Unpickled arrays come back writeable (e.g. a Pmf sent to a worker
-        # process); restore the read-only contract without re-validating.
+        # Unpickled arrays come back writeable (e.g. a Pmf a caller sends to a
+        # process; the experiments send a FamilySpec instead); restore the
+        # read-only contract without re-validating.
         self.__dict__.update(state)
         self.probs.flags.writeable = False
 

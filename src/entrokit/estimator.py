@@ -14,17 +14,16 @@ inequality); the chi-square term has exact replicate mean ``(K-1)/n``.
 Zero counts use the continuous extension ``0 ln 0 = 0`` (the true
 probabilities can never vanish, but empirical ones can).
 
-Every sum is exactly rounded, so :func:`decompose` returns the same bits
-whichever of its two paths runs: numpy arrays, or Python floats for
-alphabets of at most ``_SMALL_K`` symbols, where numpy's per-call cost
-outweighs the O(K) work.
+Every sum is exactly rounded.  On alphabets of at most ``_MEMO_MAX_K``
+symbols, where a replicate's count vector often repeats, :func:`decompose`
+keeps the report of each distinct count vector per Pmf; a kept report
+carries the bits of a fresh computation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import mul, sub, truediv
 
 import numpy as np
 
@@ -34,11 +33,12 @@ from .sampling import CountVector
 
 # An analytically nonnegative KL sum that rounds slightly below zero is noise.
 _KL_CLAMP_TOL = 1e-12
-# decompose sums Python floats up to this K and numpy arrays above it: per
-# replicate the float path took 0.53x the array path's time at K=2, 0.92-0.98x
-# at K=16 and 1.07-1.16x at K=24 (n=1e5, CPython 3.11, numpy 2.4, 2 vCPUs).
-_SMALL_K = 16
-# decompose keeps at most this many small-alphabet reports per Pmf.
+# decompose keeps reports up to this K.  Of 4000 chain replicates (harmonic,
+# expgeom, seed 42) 82-98% repeated an earlier count vector at K=2 (n=1e3..1e5);
+# at K=3 50-58% at n=1e3 but 0-1% from 1e5 on, where logpow:0.4 reaches K=3
+# (n~6e6); at K=4 3-7% at n=1e3; none at K=8 or 16.  A miss costs ~1 us more.
+_MEMO_MAX_K = 2
+# decompose keeps at most this many reports per Pmf.
 _MEMO_CAP = 4096
 
 
@@ -85,7 +85,7 @@ def decompose(counts: CountVector, pmf: Pmf) -> DecompositionReport:
     when the empirical and true probabilities nearly agree; a result
     within -1e-12 of zero is rounding residue and clamps to exactly 0.
 
-    Up to ``_SMALL_K`` symbols, the reports of the first ``_MEMO_CAP``
+    Up to ``_MEMO_MAX_K`` symbols, the reports of the first ``_MEMO_CAP``
     distinct count vectors are kept per Pmf, so equal counts on one Pmf
     may return the same frozen report.
     """
@@ -93,7 +93,7 @@ def decompose(counts: CountVector, pmf: Pmf) -> DecompositionReport:
         raise ValueError(
             f"counts length {counts.size} does not match alphabet size {pmf.size}"
         )
-    if pmf.size > _SMALL_K:
+    if pmf.size > _MEMO_MAX_K:
         return _decompose(counts, pmf)
     memo = _small_reports(pmf)
     key = counts.counts.tobytes()  # the int64 counts, which fix the total too
@@ -106,7 +106,7 @@ def decompose(counts: CountVector, pmf: Pmf) -> DecompositionReport:
 
 
 class _Reports(dict):
-    """One Pmf's small-alphabet reports, keyed by the counts' bytes (a dict
+    """One Pmf's kept reports, keyed by the counts' bytes (a dict
     subclass, so it can be weakly referenced)."""
 
 
@@ -118,36 +118,15 @@ def _small_reports(pmf: Pmf) -> _Reports:
 def _decompose(counts: CountVector, pmf: Pmf) -> DecompositionReport:
     law = log_law(pmf)
     pop = law.summary
-    if pmf.size <= _SMALL_K:
-        # The array path's operations on floats: int->float, +, -, * and /
-        # round correctly in both, diff**2 is diff*diff, and _fsum is
-        # math.fsum below _FSUM_MIN_SIZE (> _SMALL_K) values.  The logs still
-        # come from np.log over the same compacted array, as numpy's log is
-        # not libm's.
-        total = float(counts.total)
-        phat = [c / total for c in counts.counts.tolist()]
-        p = pmf.probs.tolist()
-        logp = law.logp.tolist()
-        ph_nz = [x for x in phat if x > 0.0]
-        logp_nz = logp if len(ph_nz) == len(phat) else [lp for x, lp in zip(phat, logp) if x > 0.0]
-        log_ph = np.log(np.array(ph_nz)).tolist()
-        diff = list(map(sub, phat, p))
-        plugin = -math.fsum(map(mul, ph_nz, log_ph))
-        linear = -math.fsum(map(mul, diff, logp))
-        kl = math.fsum(map(mul, ph_nz, map(sub, log_ph, logp_nz)))
-        chi2 = math.fsum(map(truediv, map(mul, diff, diff), p))
-    else:
-        p = pmf.probs
-        logp = law.logp
-        phat = empirical_pmf(counts)
-        nonzero = phat > 0.0
-        ph_nz = phat[nonzero]
-        log_ph = np.log(ph_nz)
-        diff = phat - p
-        plugin = -_fsum(ph_nz * log_ph)
-        linear = -_fsum(diff * logp)
-        kl = _fsum(ph_nz * (log_ph - logp[nonzero]))
-        chi2 = _fsum(diff**2 / p)
+    phat = empirical_pmf(counts)
+    nonzero = phat > 0.0
+    ph_nz = phat[nonzero]
+    log_ph = np.log(ph_nz)
+    diff = phat - pmf.probs
+    plugin = -_fsum(ph_nz * log_ph)
+    linear = -_fsum(diff * law.logp)
+    kl = _fsum(ph_nz * (log_ph - law.logp[nonzero]))
+    chi2 = _fsum(diff**2 / pmf.probs)
     if -_KL_CLAMP_TOL < kl < 0.0:
         kl = 0.0
 

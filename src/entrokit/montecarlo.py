@@ -86,6 +86,13 @@ _TASKS_PER_PROCESS = 4
 # An mdp cell is infeasible when its Gaussian sizing asks for more than
 # max(this, replicates) replicates.
 _MDP_MAX_REPLICATES = 200_000
+# The categorical sampler draws n symbols per replicate, at 14-35 ns a draw
+# (K=2 to 1e6, 2-vCPU Xeon), so a grid point is refused above this many draws
+# (4-11 hours); the chain's cost does not depend on n.
+_MAX_CATEGORICAL_DRAWS = 1 << 40
+# This process's current grid point, {spec: Pmf}: a worker keeps it, and so its
+# per-Pmf tables, across tasks; forked workers start with the parent's.
+_points: dict[FamilySpec, Pmf] = {}
 
 
 class ConfigError(ValueError):
@@ -200,6 +207,13 @@ class ExperimentConfig:
             if not 2 <= size <= MAX_ALPHABET_SIZE:
                 need = "need K >= 2" if size < 2 else f"the cap is {MAX_ALPHABET_SIZE}"
                 raise ConfigError(f"K rule {self.k_rule.render()} gives K={size} at n={n}; {need}")
+        reps = self.replicates if self.mdp is None else max(self.replicates, _MDP_MAX_REPLICATES)
+        if self.sampler == "categorical" and grid[-1] * reps > _MAX_CATEGORICAL_DRAWS:
+            raise ConfigError(
+                f"the categorical sampler would make {grid[-1] * reps:.3g} draws at n={grid[-1]} "
+                f"({reps} replicates), above its budget of 2^40; "
+                f"--sampler multinomial costs O(K) per replicate whatever n"
+            )
 
 
 @dataclass(frozen=True)
@@ -290,8 +304,17 @@ def ks_distance(sorted_samples: Sequence[float] | np.ndarray) -> float:
     return max(d_plus, d_minus)
 
 
+def _family(spec: FamilySpec) -> Pmf:
+    """The Pmf of a parametric ``spec``, built once while it is this process's grid point."""
+    pmf = _points.get(spec)
+    if pmf is None:
+        _points.clear()  # the previous grid point's Pmf dies before the next is built
+        pmf = _points[spec] = build_family(spec)
+    return pmf
+
+
 def _replicate_chunk(
-    pmf: Pmf, n: int, sampler: str, master_seed: int, first: int, count: int
+    spec: FamilySpec, n: int, sampler: str, master_seed: int, first: int, count: int
 ) -> np.ndarray:
     """Worker body: the (z, kl, chi2) rows of stream indices ``first .. first+count-1``.
 
@@ -299,6 +322,7 @@ def _replicate_chunk(
     the first failing replicate in stream order raises, for the identity
     before the sandwich.
     """
+    pmf = _family(spec)
     sample = sample_counts_categorical if sampler == "categorical" else sample_counts_multinomial
     h = entropy(pmf)
     seeds = derive_stream_seeds(master_seed, first, count).tolist()
@@ -336,8 +360,8 @@ class _Replicates:
 
     Chunks run in this process unless a grid point needs two or more
     processes.  The first such point starts one process pool, sized by
-    :func:`_pool_size`; later points reuse it, and it is shut down, waiting
-    for its workers, when the run returns or raises.
+    :func:`_pool_size`; later points reuse it.  When the run returns or raises
+    it shuts the pool down, waiting for its workers, and drops its grid point.
     """
 
     def __init__(self, config: ExperimentConfig) -> None:
@@ -350,19 +374,20 @@ class _Replicates:
     def __exit__(self, *exc_info: object) -> None:
         if self._pool is not None:
             self._pool.shutdown(wait=True, cancel_futures=True)
+        _points.clear()
 
-    def simulate(self, pmf: Pmf, n: int, grid_index: int, count: int) -> np.ndarray:
+    def simulate(self, spec: FamilySpec, n: int, grid_index: int, count: int) -> np.ndarray:
         """Replicates ``0 .. count-1`` of grid point ``grid_index`` as ``(count, 3)``
         rows of (z, kl, chi2): replicate j reads stream index
         ``grid_index * 2^32 + j``, in chunks of ``_WORKER_CHUNK`` indices joined
         in stream order.  A pool task covers about ``1 / _TASKS_PER_PROCESS``
-        of a process's share of the chunks, so the Pmf is pickled once per
-        task and the worker reuses its log law, chain plan and alias table."""
+        of a process's share of the chunks, and names the Pmf by ``spec``,
+        which :func:`_family` builds once per grid point in each process."""
         config = self._config
         first = grid_index * _GRID_STRIDE
         starts = range(first, first + count, _WORKER_CHUNK)
         sizes = [min(_WORKER_CHUNK, first + count - start) for start in starts]
-        body = partial(_replicate_chunk, pmf, n, config.sampler, config.master_seed)
+        body = partial(_replicate_chunk, spec, n, config.sampler, config.master_seed)
         processes = _pool_size(config.workers, len(sizes))
         if processes <= 1:
             parts = list(map(body, starts, sizes))
@@ -374,15 +399,16 @@ class _Replicates:
         return np.concatenate(parts)
 
 
-def _grid_point(config: ExperimentConfig, n: int) -> tuple[Pmf, PopulationSummary]:
+def _grid_point(config: ExperimentConfig, n: int) -> tuple[FamilySpec, Pmf, PopulationSummary]:
     size = config.k_rule.alphabet_size(n)  # in [2, MAX_ALPHABET_SIZE], checked with the config
-    pmf = build_family(FamilySpec(config.family, size))
+    spec = FamilySpec(config.family, size)
+    pmf = _family(spec)
     pop = population_summary(pmf)
     if pop.degenerate:
         raise DegenerateVarianceError(
             f"family {config.family} at K={size} has zero log-probability variance"
         )
-    return pmf, pop
+    return spec, pmf, pop
 
 
 def _clt_points(
@@ -390,9 +416,9 @@ def _clt_points(
 ) -> Iterator[tuple[Pmf, EcdfSummary]]:
     """Each grid point's Pmf with its standardized-statistic summary, in grid order."""
     for gi, n in enumerate(config.n_grid):
-        pmf, pop = _grid_point(config, n)
+        spec, pmf, pop = _grid_point(config, n)
         m = config.replicates
-        z, kl, chi2 = replicates.simulate(pmf, n, gi, m).T
+        z, kl, chi2 = replicates.simulate(spec, n, gi, m).T
         z_sorted = np.sort(z)
         z_sorted.flags.writeable = False
         mean = float(np.mean(z))
@@ -473,7 +499,7 @@ def run_mdp(config: ExperimentConfig) -> list[MdpCell]:
     cells = []
     with _Replicates(config) as replicates:
         for gi, n in enumerate(config.n_grid):
-            pmf, _ = _grid_point(config, n)
+            spec, pmf, _ = _grid_point(config, n)
             b = schedule.scale(n)
             threshold = schedule.r * b
             target = -0.5 * schedule.r**2
@@ -487,7 +513,7 @@ def run_mdp(config: ExperimentConfig) -> list[MdpCell]:
                 m_used, exceedances, flag = 0, 0, "infeasible"
             else:
                 m_used = max(config.replicates, math.ceil(20.0 / p_gauss))
-                z = replicates.simulate(pmf, n, gi, m_used)[:, 0]
+                z = replicates.simulate(spec, n, gi, m_used)[:, 0]
                 exceedances = int(np.sum(np.abs(z) > threshold))
                 flag = "ok" if exceedances else "no-exceedances"
             p_hat = exceedances / m_used if exceedances else None

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -250,13 +251,27 @@ class TestCltCommand:
     )
     def test_k2_bytes_at_one_and_two_workers(self, tmp_path, args):
         # K=2 replicates repeat their counts, so most decompose calls are memo
-        # hits, and each pool task starts its Pmf's memo afresh
+        # hits, and each worker keeps its Pmf's memo across its tasks
         outs = [tmp_path / f"w{workers}.json" for workers in (1, 2)]
         for workers, out in zip((1, 2), outs):
             assert run_cli(args + ["--seed", "5", "--workers", str(workers), "--out", str(out)]) == EXIT_OK
         assert outs[0].read_bytes() == outs[1].read_bytes()
         [records] = json.loads(outs[0].read_text())["results"].values()
         assert {record["K"] for record in records} == {2}
+
+    def test_categorical_grid_bytes_at_one_and_two_workers(self, tmp_path, monkeypatch):
+        # 16-replicate chunks give 7 tasks a grid point, so each worker
+        # switches its grid point (K=100, then 316) between tasks of one pool
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(montecarlo, "_WORKER_CHUNK", 16)
+        args = ["clt", "--family", "harmonic", "--K-rule", "pow:0.5", "--n-grid", "10000,100000", "--reps", "100"]
+        outs = [tmp_path / f"w{workers}.json" for workers in (1, 2)]
+        for workers, out in zip((1, 2), outs):
+            argv = args + ["--sampler", "categorical", "--seed", "3", "--workers", str(workers), "--out", str(out)]
+            assert run_cli(argv) == EXIT_OK
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        [records] = json.loads(outs[0].read_text())["results"].values()
+        assert [record["K"] for record in records] == [100, 316]
 
     def test_config_file_round_trip_bytes(self, tmp_path):
         config = {
@@ -418,6 +433,14 @@ class TestSamplerDomain:
             args += ["--mdp-rho", "0.1", "--mdp-eps", "1.0", "--mdp-r", "1.0"]
         assert run_cli(args) == EXIT_CONFIG
         assert "2^62" in capsys.readouterr().err
+
+    def test_categorical_run_beyond_its_draw_budget_is_config_error(self, capsys, no_family_weights):
+        # alias draws cost O(n): one replicate at n = 2^62 would take millennia
+        args = ["clt", "--family", "harmonic", "--K-rule", "fixed:2", "--n-grid", str(1 << 62), "--reps", "100"]
+        started = time.perf_counter()
+        assert run_cli(args + ["--sampler", "categorical", "--seed", "1"]) == EXIT_CONFIG
+        assert time.perf_counter() - started < 1.0
+        assert "--sampler multinomial" in capsys.readouterr().err
 
 
 class TestBeCommand:

@@ -8,7 +8,7 @@ import pytest
 
 from entrokit import estimator
 from entrokit.alphabet import FamilySpec, HARMONIC, UNIFORM, build_family, validate_pmf
-from entrokit.estimator import DecompositionReport, _SMALL_K, decompose, empirical_pmf, plugin_entropy
+from entrokit.estimator import DecompositionReport, _MEMO_MAX_K, decompose, empirical_pmf, plugin_entropy
 from entrokit.exact import population_summary
 from entrokit.sampling import CountVector, derive_stream_seeds, sample_counts_categorical, sample_counts_multinomial
 
@@ -118,65 +118,6 @@ class TestDecompose:
         with pytest.raises(ValueError, match="match"):
             decompose(cv([1, 2, 3]), pmf)
 
-
-def assert_same_report(a, b):
-    for field in fields(DecompositionReport):
-        assert repr(getattr(a, field.name)) == repr(getattr(b, field.name)), field.name
-
-
-class TestSmallAlphabetPath:
-    """Up to _SMALL_K symbols decompose sums Python floats; every field must
-    carry the array path's bits."""
-
-    @staticmethod
-    def assert_paths_agree(monkeypatch, counts, pmf):
-        monkeypatch.setattr(estimator, "_SMALL_K", pmf.size)
-        estimator._small_reports(pmf).clear()  # the float path runs, not the memo
-        small = decompose(counts, pmf)
-        monkeypatch.setattr(estimator, "_SMALL_K", pmf.size - 1)
-        array = decompose(counts, pmf)
-        monkeypatch.setattr(estimator, "_SMALL_K", _SMALL_K)
-        assert_same_report(small, array)
-        assert repr(decompose(counts, pmf)) == repr(array)
-        return array
-
-    def test_random_counts_with_zero_cells(self, monkeypatch):
-        rng = np.random.default_rng(151)
-        for _ in range(300):
-            k = int(rng.integers(2, _SMALL_K + 2))
-            pmf = validate_pmf(random_pmf(rng, k))
-            counts = rng.integers(0, 6, size=k) * (rng.random(k) < 0.6)
-            counts[rng.integers(0, k)] += 1
-            self.assert_paths_agree(monkeypatch, cv(counts), pmf)
-
-    def test_sampled_counts(self, monkeypatch):
-        for k in (2, 3, 8, _SMALL_K, _SMALL_K + 1):
-            pmf = build_family(FamilySpec(HARMONIC, k))
-            for seed in derive_stream_seeds(8, 0, 50).tolist():
-                self.assert_paths_agree(monkeypatch, sample_counts_multinomial(pmf, 100_000, seed), pmf)
-
-    def test_one_nonzero_cell(self, monkeypatch):
-        for k in (2, 5, _SMALL_K):
-            pmf = build_family(FamilySpec(HARMONIC, k))
-            for cell in range(k):
-                counts = np.zeros(k, dtype=np.int64)
-                counts[cell] = 1000
-                rep = self.assert_paths_agree(monkeypatch, cv(counts), pmf)
-                assert rep.plugin_entropy == 0.0
-
-    def test_totals_near_max_total(self, monkeypatch):
-        # counts above 2^53 round when converted to float, on both paths alike
-        rng = np.random.default_rng(62)
-        for _ in range(100):
-            k = int(rng.integers(2, _SMALL_K + 2))
-            pmf = validate_pmf(random_pmf(rng, k))
-            total = (1 << 62) - int(rng.integers(0, 1 << 20))
-            cuts = sorted(int(c) for c in rng.integers(0, total, size=k - 1))
-            counts = [b - a for a, b in zip([0, *cuts], [*cuts, total])]
-            self.assert_paths_agree(monkeypatch, CountVector(np.array(counts, dtype=np.int64), total), pmf)
-        pmf = validate_pmf((0.5, 0.25, 0.25))
-        self.assert_paths_agree(monkeypatch, CountVector(np.array([(1 << 62) - 3, 1, 2]), 1 << 62), pmf)
-
     @pytest.mark.parametrize(
         "kind, k, counts",
         [
@@ -184,30 +125,29 @@ class TestSmallAlphabetPath:
             ("harmonic", 3, [545454547, 272727272, 181818181]),
         ],
     )
-    def test_kl_clamp(self, monkeypatch, kind, k, counts):
+    def test_kl_clamp(self, kind, k, counts):
         # counts in the Pmf's proportions: the raw KL sum rounds just below zero
         pmf = build_family(FamilySpec(kind, k))
         phat = np.array(counts) / sum(counts)
         raw = math.fsum((phat * (np.log(phat) - np.log(pmf.probs))).tolist())
         assert -1e-12 < raw < 0.0
-        assert self.assert_paths_agree(monkeypatch, cv(counts), pmf).kl_term == 0.0
+        assert decompose(cv(counts), pmf).kl_term == 0.0
 
-    def test_threshold_picks_the_path(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(estimator, "empirical_pmf", lambda c: calls.append(c) or empirical_pmf(c))
-        for k in (_SMALL_K, _SMALL_K + 1):
-            counts = cv(np.arange(1, k + 1))
-            decompose(counts, build_family(FamilySpec(HARMONIC, k)))
-        assert [c.size for c in calls] == [_SMALL_K + 1]
+
+def assert_same_report(a, b):
+    for field in fields(DecompositionReport):
+        assert repr(getattr(a, field.name)) == repr(getattr(b, field.name)), field.name
 
 
 class TestReportMemo:
-    """Up to _SMALL_K symbols decompose keeps each distinct count vector's
-    report per Pmf; a memo hit must carry a fresh computation's bits."""
+    """Up to _MEMO_MAX_K symbols decompose keeps each distinct count vector's
+    report per Pmf; a memo hit must carry a fresh computation's bits.  Above
+    it no report is kept."""
 
     @pytest.mark.parametrize("sample", [sample_counts_multinomial, sample_counts_categorical])
-    @pytest.mark.parametrize("k", [2, 3, 8, _SMALL_K])
+    @pytest.mark.parametrize("k", [2, 3, 8, 16])
     def test_warm_equals_cold(self, k, sample):
+        kept = k <= _MEMO_MAX_K
         pmf = build_family(FamilySpec(HARMONIC, k))
         seen = set()
         for n in (3, 20, 1000):  # n=3 repeats count vectors at every k
@@ -216,15 +156,15 @@ class TestReportMemo:
                 seen.add(counts.counts.tobytes())
                 cold = estimator._decompose(counts, pmf)
                 warm = decompose(counts, pmf)
-                assert decompose(counts, pmf) is warm
+                assert (decompose(counts, pmf) is warm) == kept
                 assert_same_report(warm, cold)
-        assert len(estimator._small_reports(pmf)) == len(seen)
+        assert len(estimator._small_reports(pmf)) == (len(seen) if kept else 0)
 
     def test_equal_counts_share_one_report(self):
-        pmf = build_family(FamilySpec(HARMONIC, 3))
-        first = decompose(cv([4, 0, 1]), pmf)
-        assert decompose(cv([4, 0, 1]), pmf) is first
-        assert decompose(cv([4, 1, 0]), pmf) is not first
+        pmf = build_family(FamilySpec(HARMONIC, 2))
+        first = decompose(cv([4, 1]), pmf)
+        assert decompose(cv([4, 1]), pmf) is first
+        assert decompose(cv([1, 4]), pmf) is not first
 
     @pytest.mark.parametrize("cap", [5, estimator._MEMO_CAP])
     def test_table_stops_at_its_cap(self, monkeypatch, cap):
@@ -250,8 +190,8 @@ class TestReportMemo:
         assert len(estimator._small_reports(pmf)) == 1
 
     def test_no_memo_above_small_k(self):
-        pmf = build_family(FamilySpec(HARMONIC, _SMALL_K + 1))
-        counts = cv(np.arange(1, _SMALL_K + 2))
+        pmf = build_family(FamilySpec(HARMONIC, _MEMO_MAX_K + 1))
+        counts = cv(np.arange(1, _MEMO_MAX_K + 2))
         assert decompose(counts, pmf) is not decompose(counts, pmf)
         assert len(estimator._small_reports(pmf)) == 0
 

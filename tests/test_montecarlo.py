@@ -1,5 +1,9 @@
+import gc
 import math
 import multiprocessing
+import os
+import weakref
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
@@ -22,7 +26,7 @@ from entrokit.montecarlo import (
     run_clt,
     run_mdp,
 )
-from entrokit import montecarlo
+from entrokit import montecarlo, sampling
 from entrokit.sampling import derive_stream_seeds, sample_counts_multinomial
 from oracles import CounterRng
 
@@ -137,6 +141,18 @@ class TestExperimentConfig:
 
     def test_no_mdp_replicate_cap_below_the_stream_cap(self):
         assert small_config(replicates=200_001).replicates == 200_001
+
+    def test_categorical_draw_budget(self):
+        # n * replicates alias draws per grid point, up to 2^40; an mdp cell
+        # counts as the 200 000 replicates it may raise itself to
+        assert small_config(sampler="categorical", n_grid=(1 << 32,), replicates=256).sampler == "categorical"
+        with pytest.raises(ConfigError, match="above its budget of 2\\^40; --sampler multinomial"):
+            small_config(sampler="categorical", n_grid=(100, (1 << 32) + 1), replicates=256)
+        assert small_config(n_grid=((1 << 32) + 1,), replicates=256).sampler == "multinomial"
+        mdp = MdpSchedule(rho=0.1, epsilon=1.0, r=1.0)
+        assert small_config(sampler="categorical", n_grid=(5_000_000,), mdp=mdp).mdp == mdp
+        with pytest.raises(ConfigError, match="200000 replicates"):
+            small_config(sampler="categorical", n_grid=(6_000_000,), mdp=mdp)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -280,11 +296,52 @@ class TestRunClt:
         assert s.z_mean == pytest.approx(float(np.mean(s.z_samples)), abs=1e-12)
         assert 0.0 <= s.ks_distance <= 1.0
 
+    def test_no_grid_point_outlives_its_run(self, monkeypatch):
+        refs = []
+        real = montecarlo.build_family
+
+        def build_family(spec):
+            pmf = real(spec)
+            refs.append(weakref.ref(pmf))
+            return pmf
+
+        monkeypatch.setattr(montecarlo, "build_family", build_family)
+        run_clt(small_config(k_rule=KRule("pow", 0.5), n_grid=(400, 900)))
+        gc.collect()
+        assert len(refs) == 2
+        assert [ref() for ref in refs] == [None, None]
+
 
 class TestProcessPool:
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch):
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the counters live in forked workers")
+    def test_each_process_builds_a_grid_point_once(self, monkeypatch, tmp_path):
+        log = tmp_path / "builds.txt"
+
+        def logged(name, build, size):
+            def wrapper(arg):
+                with open(log, "a") as handle:
+                    handle.write(f"{os.getpid()} {name} {size(arg)}\n")
+                return build(arg)
+
+            return wrapper
+
+        monkeypatch.setattr(montecarlo, "build_family", logged("family", montecarlo.build_family, lambda s: s.size))
+        monkeypatch.setattr(sampling, "AliasTable", logged("alias", sampling.AliasTable, len))
+        # 200 replicates are 13 chunks and 7 tasks, so a worker runs several
+        # tasks of a grid point, then switches to the next one in the same pool
+        monkeypatch.setattr(montecarlo, "_WORKER_CHUNK", 16)
+        run_clt(small_config(k_rule=KRule("pow", 0.5), n_grid=(400, 900), sampler="categorical", workers=2))
+        builds = Counter(tuple(line.split()) for line in log.read_text().splitlines())
+        assert set(builds.values()) == {1}
+        parent = str(os.getpid())
+        assert {(name, k) for pid, name, k in builds if pid == parent} == {("family", "20"), ("family", "30")}
+        in_workers = {(name, k) for pid, name, k in builds if pid != parent}
+        # the workers were forked at K=20, so they inherit its Pmf
+        assert {("alias", "20"), ("alias", "30"), ("family", "30")} >= in_workers >= {("alias", "20")}
 
     def test_no_worker_outlives_a_run(self):
         run_clt(small_config(n_grid=(300, 500), replicates=600, workers=2))
