@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -93,26 +94,22 @@ def _emit(obj: Any, indent: int, out: list[str]) -> None:
         out.append(_format_float(obj))
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
-    elif isinstance(obj, dict):
+    elif isinstance(obj, (dict, list, tuple)):
+        if isinstance(obj, dict):
+            brackets, values = "{}", obj.values()
+            prefixes: Iterable[str] = (f"{inner}{json.dumps(str(key))}: " for key in obj)
+        else:
+            brackets, values, prefixes = "[]", obj, itertools.repeat(inner)
         if not obj:
-            out.append("{}")
+            out.append(brackets)
             return
-        out.append("{\n")
-        for i, (key, value) in enumerate(obj.items()):
-            out.append(f"{inner}{json.dumps(str(key))}: ")
+        separator = "\n"
+        out.append(brackets[0])
+        for prefix, value in zip(prefixes, values):
+            out += (separator, prefix)
             _emit(value, indent + 2, out)
-            out.append(",\n" if i + 1 < len(obj) else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not len(obj):
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, value in enumerate(obj):
-            out.append(inner)
-            _emit(value, indent + 2, out)
-            out.append(",\n" if i + 1 < len(obj) else "\n")
-        out.append(pad + "]")
+            separator = ",\n"
+        out.append("\n" + pad + brackets[1])
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} canonically")
 

@@ -70,7 +70,7 @@ def plugin_entropy(counts: CountVector) -> float:
     """
     phat = empirical_pmf(counts)
     phat = phat[phat > 0.0]
-    return -_fsum(phat * np.log(phat))
+    return 0.0 - _fsum(phat * np.log(phat))  # not -sum: a point mass has entropy +0.0
 
 
 def decompose(counts: CountVector, pmf: Pmf) -> DecompositionReport:
@@ -105,14 +105,10 @@ def decompose(counts: CountVector, pmf: Pmf) -> DecompositionReport:
     return report
 
 
-class _Reports(dict):
-    """One Pmf's kept reports, keyed by the counts' bytes (a dict
-    subclass, so it can be weakly referenced)."""
-
-
 @per_pmf
-def _small_reports(pmf: Pmf) -> _Reports:
-    return _Reports()
+def _small_reports(pmf: Pmf) -> dict[bytes, DecompositionReport]:
+    """One Pmf's kept reports, keyed by the counts' bytes."""
+    return {}
 
 
 def _decompose(counts: CountVector, pmf: Pmf) -> DecompositionReport:
@@ -123,8 +119,9 @@ def _decompose(counts: CountVector, pmf: Pmf) -> DecompositionReport:
     ph_nz = phat[nonzero]
     log_ph = np.log(ph_nz)
     diff = phat - pmf.probs
-    plugin = -_fsum(ph_nz * log_ph)
-    linear = -_fsum(diff * law.logp)
+    # 0.0 - sum, not -sum: an exact sum of +0.0 gives +0.0, not -0.0
+    plugin = 0.0 - _fsum(ph_nz * log_ph)
+    linear = 0.0 - _fsum(diff * law.logp)
     kl = _fsum(ph_nz * (log_ph - law.logp[nonzero]))
     chi2 = _fsum(diff**2 / pmf.probs)
     if -_KL_CLAMP_TOL < kl < 0.0:

@@ -13,7 +13,11 @@ moderate-deviation value is evaluated in log space.
 Every functional reads one :class:`LogLaw` per Pmf: ``ln p`` and the
 population summary, computed in a single log pass on first use and cached
 for as long as the Pmf lives.  ``ln p + H`` is formed block by block where
-a sum needs it.
+a sum needs it; both absolute moments are the one streamed sum
+``sum p |ln p + s|^{2+delta}``, with s = H and s = 0.  A sample size n
+takes the samplers' contract (``sampling._check_total``) and delta the
+real-number one (``sampling._is_real``); a bad value raises a ValueError
+that names it.
 
 Unknown absolute constants in the bound shapes are fixed to 1: the
 Monte Carlo layer only ever checks shapes (ratio boundedness and
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .alphabet import Pmf, _fsum_terms, per_pmf
-from .sampling import _is_real
+from .sampling import _check_total, _is_real
 
 # Variance this close to zero is rounding noise from a constant log-probability;
 # clamp to exactly 0 and treat the distribution as degenerate.
@@ -68,13 +72,7 @@ class MdpSchedule:
 
     def __post_init__(self) -> None:
         for name in ("rho", "epsilon", "r"):
-            value = getattr(self, name)
-            if not _is_real(value):
-                raise ValueError(f"{name} takes an int or a float, got {value!r}")
-            try:
-                object.__setattr__(self, name, float(value))
-            except OverflowError:
-                raise ValueError(f"{name} lies beyond float range") from None
+            object.__setattr__(self, name, _as_float(name, getattr(self, name)))
         if not 0.0 < self.rho < 0.5:
             raise ValueError(f"rho must lie in (0, 1/2), got {self.rho}")
         if not 0.0 < self.epsilon < math.inf:
@@ -87,16 +85,28 @@ class MdpSchedule:
         return float(n) ** self.rho
 
 
+def _as_float(name: str, value: float) -> float:
+    """``value`` as a float: an int or a float (so never a bool or a string) within float range."""
+    if not _is_real(value):
+        raise ValueError(f"{name} takes an int or a float, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} lies beyond float range") from None
+
+
 def _check_delta(delta: float) -> float:
-    delta = float(delta)
+    delta = _as_float("delta", delta)
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"delta must lie in [0, 1], got {delta}")
     return delta
 
 
-def _require_positive(name: str, value: float) -> None:
-    if not value > 0.0:
-        raise ValueError(f"{name} must be > 0, got {value}")
+def _check_positive_delta(delta: float) -> float:
+    delta = _as_float("delta", delta)
+    if not delta > 0.0:
+        raise ValueError(f"delta must be > 0, got {delta}")
+    return delta
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,7 +134,7 @@ def log_law(pmf: Pmf) -> LogLaw:
     p = pmf.probs
     logp = np.log(p)
     logp.flags.writeable = False
-    h = -_fsum_terms(lambda a, b: p[a:b] * logp[a:b], p.size)
+    h = 0.0 - _fsum_terms(lambda a, b: p[a:b] * logp[a:b], p.size)  # not -sum: K = 1 has H = +0.0
 
     def spread(a: int, b: int) -> np.ndarray:
         centered = logp[a:b] + h
@@ -157,6 +167,20 @@ def _require_sigma(pmf: Pmf) -> LogLaw:
     return law
 
 
+def _abs_log_moment(pmf: Pmf, shift: float, power: float) -> float:
+    """``sum p |ln p + shift|^power``, streamed a block at a time."""
+    p, logp = pmf.probs, log_law(pmf).logp
+
+    def term(a: int, b: int) -> np.ndarray:
+        t = logp[a:b] + shift
+        np.abs(t, out=t)
+        t **= power
+        t *= p[a:b]
+        return t
+
+    return _fsum_terms(term, p.size)
+
+
 def abs_central_moment(pmf: Pmf, delta: float) -> float:
     """``E|T|^{2+delta}`` where ``T = -ln p(X) - H`` (exact law of T).
 
@@ -164,18 +188,8 @@ def abs_central_moment(pmf: Pmf, delta: float) -> float:
     moment is a direct sum over the support.  ``delta = 0`` recovers the
     variance ``sigma^2`` exactly.
     """
-    delta = _check_delta(delta)
-    law = log_law(pmf)
-    p, logp, h = pmf.probs, law.logp, law.summary.entropy
-
-    def term(a: int, b: int) -> np.ndarray:
-        t = logp[a:b] + h
-        np.abs(t, out=t)
-        t **= 2.0 + delta
-        t *= p[a:b]
-        return t
-
-    return _fsum_terms(term, p.size)
+    power = 2.0 + _check_delta(delta)
+    return _abs_log_moment(pmf, entropy(pmf), power)
 
 
 def split_moment_bound(pmf: Pmf, delta: float) -> float:
@@ -185,17 +199,9 @@ def split_moment_bound(pmf: Pmf, delta: float) -> float:
     constants set to 1.  The power-mean inequality gives the explicit
     sandwich ``abs_central_moment <= 2^{1+delta} * split_moment_bound``.
     """
-    delta = _check_delta(delta)
-    law = log_law(pmf)
-    p, logp, h = pmf.probs, law.logp, law.summary.entropy
-
-    def term(a: int, b: int) -> np.ndarray:
-        t = np.abs(logp[a:b])
-        t **= 2.0 + delta
-        t *= p[a:b]
-        return t
-
-    return _fsum_terms(term, p.size) + h ** (2.0 + delta)
+    power = 2.0 + _check_delta(delta)
+    # ln p + 0.0 is ln p bit for bit: np.log never returns -0.0 on (0, 1]
+    return _abs_log_moment(pmf, 0.0, power) + entropy(pmf) ** power
 
 
 def exp_moment(pmf: Pmf, delta: float) -> float:
@@ -203,7 +209,7 @@ def exp_moment(pmf: Pmf, delta: float) -> float:
 
     Requires ``sigma > 0``; may overflow to ``inf`` for large ``delta``.
     """
-    _require_positive("delta", delta)
+    delta = _check_positive_delta(delta)
     law = _require_sigma(pmf)
     p, logp, pop = pmf.probs, law.logp, law.summary
 
@@ -228,7 +234,7 @@ def exp_moment_envelope(pmf: Pmf, delta: float) -> float:
     blow up with the alphabet; a warning is issued but the finite-K value
     is still returned.  A value beyond float range returns ``inf``.
     """
-    _require_positive("delta", delta)
+    delta = _check_positive_delta(delta)
     pop = _require_sigma(pmf).summary
     ratio = delta / pop.sigma
     if ratio >= 1.0:
@@ -255,8 +261,7 @@ def berry_esseen_shape(pmf: Pmf, n: int, delta: float) -> float:
     for a fixed Pmf (for ``delta = 0`` the first term is identically 1).
     """
     delta = _check_delta(delta)
-    if n < 1:
-        raise ValueError(f"sample size must be >= 1, got {n}")
+    n = _check_total(n)
     pop = _require_sigma(pmf).summary
     moment = abs_central_moment(pmf, delta)
     term_clt = moment / (float(n) ** (delta / 2.0) * pop.sigma ** (2.0 + delta))
@@ -271,8 +276,7 @@ def mdp_condition(pmf: Pmf, n: int, schedule: MdpSchedule) -> float:
     -10^6 neither overflow nor underflow.  Callers check divergence to
     -infinity along an n-grid; a single value carries no information.
     """
-    if n < 1:
-        raise ValueError(f"sample size must be >= 1, got {n}")
+    n = _check_total(n)
     pop = _require_sigma(pmf).summary
     b = schedule.scale(n)
     p = pmf.probs

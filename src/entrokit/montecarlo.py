@@ -14,8 +14,9 @@ population functionals, never sample estimates.  Replicates are keyed by
 stream index (grid position * 2^32 + replicate); a worker chunk is a range
 of consecutive indices, and chunks are joined in index order, so results
 are bit-identical for a fixed master seed at any worker count.  A run
-starts at most one process pool, the first time a grid point needs two or
-more processes, and shuts it down when it returns or raises.  Every
+draws its replicates through one source (``_replicates``), which holds at
+most one process pool, sized for the run's largest grid point, and shuts
+it down when the run returns or raises.  Every
 replicate re-checks the decomposition identity and the KL/chi-square
 sandwich; each chunk tests them over its rows at once and raises for the
 first failing replicate in stream order.
@@ -27,11 +28,12 @@ The result records (``EcdfSummary``, ``BeSweepResult``, ``BeSweepRow``,
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import math
 import os
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -93,6 +95,8 @@ _MAX_CATEGORICAL_DRAWS = 1 << 40
 # This process's current grid point, {spec: Pmf}: a worker keeps it, and so its
 # per-Pmf tables, across tasks; forked workers start with the parent's.
 _points: dict[FamilySpec, Pmf] = {}
+# simulate(spec, n, grid_index, count): the (z, kl, chi2) rows of a grid point.
+_Simulate = Callable[[FamilySpec, int, int, int], np.ndarray]
 
 
 class ConfigError(ValueError):
@@ -294,6 +298,8 @@ def ks_distance(sorted_samples: Sequence[float] | np.ndarray) -> float:
     z = np.asarray(sorted_samples, dtype=np.float64)
     if z.ndim != 1 or z.size == 0:
         raise ValueError("ks_distance needs a non-empty 1-d sample")
+    if np.isnan(z).any():  # NaN compares false, so it would pass the order check
+        raise ValueError("samples must not be NaN")
     if np.any(np.diff(z) < 0.0):
         raise ValueError("samples must be sorted ascending")
     m = z.size
@@ -350,53 +356,49 @@ def _replicate_chunk(
     return cols[:, :3].copy()
 
 
-def _pool_size(workers: int, chunks: int) -> int:
-    """Processes worth starting: no more than the chunks or the host's CPUs."""
-    return min(workers, chunks, os.cpu_count() or 1)
+def _pool_size(workers: int, replicates: int) -> int:
+    """Processes worth starting for grid points of up to ``replicates``
+    replicates: no more than their chunks or the host's CPUs."""
+    return min(workers, -(-replicates // _WORKER_CHUNK), os.cpu_count() or 1)
 
 
-class _Replicates:
-    """The replicate source of one run, used as a context manager.
+@contextlib.contextmanager
+def _replicates(config: ExperimentConfig, largest: int) -> Iterator[_Simulate]:
+    """The replicate source of one run whose largest grid point has ``largest``
+    replicates: yields ``simulate``.
 
-    Chunks run in this process unless a grid point needs two or more
-    processes.  The first such point starts one process pool, sized by
-    :func:`_pool_size`; later points reuse it.  When the run returns or raises
-    it shuts the pool down, waiting for its workers, and drops its grid point.
+    The run owns at most one process pool, sized by :func:`_pool_size` for
+    its largest grid point; a grid point of one chunk runs in this process.
+    When the run returns or raises the pool is shut down, waiting for its
+    workers, and the grid point is dropped.
     """
+    processes = _pool_size(config.workers, largest)
+    pool = concurrent.futures.ProcessPoolExecutor(max_workers=processes) if processes > 1 else None
 
-    def __init__(self, config: ExperimentConfig) -> None:
-        self._config = config
-        self._pool: concurrent.futures.ProcessPoolExecutor | None = None
-
-    def __enter__(self) -> "_Replicates":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-        _points.clear()
-
-    def simulate(self, spec: FamilySpec, n: int, grid_index: int, count: int) -> np.ndarray:
+    def simulate(spec: FamilySpec, n: int, grid_index: int, count: int) -> np.ndarray:
         """Replicates ``0 .. count-1`` of grid point ``grid_index`` as ``(count, 3)``
         rows of (z, kl, chi2): replicate j reads stream index
         ``grid_index * 2^32 + j``, in chunks of ``_WORKER_CHUNK`` indices joined
         in stream order.  A pool task covers about ``1 / _TASKS_PER_PROCESS``
         of a process's share of the chunks, and names the Pmf by ``spec``,
         which :func:`_family` builds once per grid point in each process."""
-        config = self._config
         first = grid_index * _GRID_STRIDE
         starts = range(first, first + count, _WORKER_CHUNK)
         sizes = [min(_WORKER_CHUNK, first + count - start) for start in starts]
         body = partial(_replicate_chunk, spec, n, config.sampler, config.master_seed)
-        processes = _pool_size(config.workers, len(sizes))
-        if processes <= 1:
+        if pool is None or len(sizes) < 2:
             parts = list(map(body, starts, sizes))
         else:
-            if self._pool is None:
-                self._pool = concurrent.futures.ProcessPoolExecutor(max_workers=processes)
-            chunksize = -(-len(sizes) // (_TASKS_PER_PROCESS * processes))
-            parts = list(self._pool.map(body, starts, sizes, chunksize=chunksize))
+            chunksize = -(-len(sizes) // (_TASKS_PER_PROCESS * min(processes, len(sizes))))
+            parts = list(pool.map(body, starts, sizes, chunksize=chunksize))
         return np.concatenate(parts)
+
+    try:
+        yield simulate
+    finally:
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
+        _points.clear()
 
 
 def _grid_point(config: ExperimentConfig, n: int) -> tuple[FamilySpec, Pmf, PopulationSummary]:
@@ -412,13 +414,13 @@ def _grid_point(config: ExperimentConfig, n: int) -> tuple[FamilySpec, Pmf, Popu
 
 
 def _clt_points(
-    config: ExperimentConfig, replicates: _Replicates
+    config: ExperimentConfig, simulate: _Simulate
 ) -> Iterator[tuple[Pmf, EcdfSummary]]:
     """Each grid point's Pmf with its standardized-statistic summary, in grid order."""
     for gi, n in enumerate(config.n_grid):
         spec, pmf, pop = _grid_point(config, n)
         m = config.replicates
-        z, kl, chi2 = replicates.simulate(spec, n, gi, m).T
+        z, kl, chi2 = simulate(spec, n, gi, m).T
         z_sorted = np.sort(z)
         z_sorted.flags.writeable = False
         mean = float(np.mean(z))
@@ -445,15 +447,15 @@ def run_clt(config: ExperimentConfig) -> list[EcdfSummary]:
     Deterministic for a fixed master seed; replicate j at grid point g
     uses stream index ``g * 2^32 + j``.
     """
-    with _Replicates(config) as replicates:
-        return [summary for _, summary in _clt_points(config, replicates)]
+    with _replicates(config, config.replicates) as simulate:
+        return [summary for _, summary in _clt_points(config, simulate)]
 
 
 def run_be_sweep(config: ExperimentConfig) -> BeSweepResult:
     """KS distance against the bound shape along the grid, with monotonicity report."""
     rows = []
-    with _Replicates(config) as replicates:
-        for pmf, summary in _clt_points(config, replicates):
+    with _replicates(config, config.replicates) as simulate:
+        for pmf, summary in _clt_points(config, simulate):
             shape = berry_esseen_shape(pmf, summary.n, config.delta)
             rows.append(
                 BeSweepRow(
@@ -484,38 +486,45 @@ def run_be_sweep(config: ExperimentConfig) -> BeSweepResult:
     )
 
 
+def _mdp_replicates(schedule: MdpSchedule, replicates: int, n: int) -> int:
+    """Replicates of the mdp cell at ``n`` for ~20 expected exceedances under
+    the Gaussian approximation, or 0 if that is infeasible.  The tail is taken
+    without cancellation, and compared before dividing, as 20/p overflows
+    for a subnormal p (threshold near 38)."""
+    p_gauss = 2.0 * normal_cdf(-schedule.r * schedule.scale(n))
+    if 20.0 > max(_MDP_MAX_REPLICATES, replicates) * p_gauss:
+        return 0
+    return max(replicates, math.ceil(20.0 / p_gauss))
+
+
 def run_mdp(config: ExperimentConfig) -> list[MdpCell]:
     """Moderate-deviation exceedance experiment over the grid.
 
     The replicate count is auto-raised per cell until the Gaussian-
     approximation expected exceedance count reaches 20; cells that would
     need more than max(200 000, replicates) are flagged infeasible and not
-    sampled.  Cells with zero observed exceedances are flagged rather
-    than given a fabricated probability.
+    sampled.  Every cell is sized before any is sampled, so the run's pool
+    fits its largest cell.  Cells with zero observed exceedances are flagged
+    rather than given a fabricated probability.
     """
     if config.mdp is None:
         raise ConfigError("run_mdp requires an MdpSchedule on the configuration")
     schedule = config.mdp
+    sizes = [_mdp_replicates(schedule, config.replicates, n) for n in config.n_grid]
     cells = []
-    with _Replicates(config) as replicates:
-        for gi, n in enumerate(config.n_grid):
+    with _replicates(config, max(sizes)) as simulate:
+        for gi, (n, m_used) in enumerate(zip(config.n_grid, sizes)):
             spec, pmf, _ = _grid_point(config, n)
             b = schedule.scale(n)
             threshold = schedule.r * b
             target = -0.5 * schedule.r**2
             condition = mdp_condition(pmf, n, schedule)
-            # Gaussian approximation of the exceedance probability sizes the
-            # replicate count so ~20 exceedances are expected.  The tail is
-            # taken without cancellation, and compared before dividing, as 20/p
-            # overflows for a subnormal p (threshold near 38).
-            p_gauss = 2.0 * normal_cdf(-threshold)
-            if 20.0 > max(_MDP_MAX_REPLICATES, config.replicates) * p_gauss:
-                m_used, exceedances, flag = 0, 0, "infeasible"
-            else:
-                m_used = max(config.replicates, math.ceil(20.0 / p_gauss))
-                z = replicates.simulate(spec, n, gi, m_used)[:, 0]
+            if m_used:
+                z = simulate(spec, n, gi, m_used)[:, 0]
                 exceedances = int(np.sum(np.abs(z) > threshold))
                 flag = "ok" if exceedances else "no-exceedances"
+            else:
+                exceedances, flag = 0, "infeasible"
             p_hat = exceedances / m_used if exceedances else None
             cells.append(
                 MdpCell(

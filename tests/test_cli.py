@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +48,10 @@ class TestCanonicalJson:
         record = {"b": [1, 2.5], "a": {"x": None, "y": True}}
         assert canonical_json(record) == canonical_json(record)
 
+    def test_empty_containers_inside_a_record(self):
+        record = {"a": {}, "b": [], "c": ({}, [])}
+        assert canonical_json(record) == '{\n  "a": {},\n  "b": [],\n  "c": [\n    {},\n    []\n  ]\n}\n'
+
 
 class TestDescribe:
     def test_uniform_flags_degenerate(self, tmp_path, capsys):
@@ -59,6 +64,20 @@ class TestDescribe:
         assert results["sigma2"] == 0.0
         assert results["degenerate"] is True
         assert results["exp_moment"] is None
+
+    def test_delta_zero_has_no_exponential_moments(self, tmp_path):
+        out = tmp_path / "h.json"
+        assert run_cli(["describe", "--family", "harmonic:10", "--delta", "0", "--out", str(out)]) == EXIT_OK
+        results = json.loads(out.read_text())["results"]
+        assert (results["exp_moment"], results["exp_moment_envelope"]) == (None, None)
+        assert results["notes"] == ["delta is zero: exponential moments are trivially 1"]
+        assert results["abs_central_moment"] == pytest.approx(results["sigma2"], rel=1e-14)
+
+    def test_one_symbol_has_positive_zero_entropy(self, tmp_path):
+        out = tmp_path / "u.json"
+        assert run_cli(["describe", "--family", "uniform:1", "--out", str(out)]) == EXIT_OK
+        text = out.read_text()
+        assert '"entropy": 0.0,' in text and "-0.0" not in text
 
     def test_harmonic_two_matches_hand_values(self, tmp_path):
         out = tmp_path / "h.json"
@@ -259,6 +278,33 @@ class TestCltCommand:
         [records] = json.loads(outs[0].read_text())["results"].values()
         assert {record["K"] for record in records} == {2}
 
+    def test_pool_fits_the_largest_grid_point(self, tmp_path, monkeypatch):
+        # at 100 replicates mdp-tail's cells take 710, 3493 and 39 666 (3, 14
+        # and 155 chunks): the pool fits the last cell, not the first
+        pools = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(montecarlo.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        args = ["mdp", "--family", "expgeom", "--K-rule", "logpow:0.4", "--n-grid", "1000,10000,100000"]
+        args += ["--reps", "100", "--mdp-rho", "0.1", "--mdp-eps", "1.0", "--mdp-r", "1.1", "--seed", "42"]
+        outs = [tmp_path / f"w{workers}.json" for workers in (1, 2, 4)]
+        for workers, out in zip((1, 2, 4), outs):
+            assert run_cli(args + ["--workers", str(workers), "--out", str(out)]) == EXIT_OK
+        assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+        cells = json.loads(outs[0].read_text())["results"]["cells"]
+        assert [cell["replicates_used"] for cell in cells] == [710, 3493, 39666]
+        assert pools == [2, 4]
+        # a large --workers claims no more processes than a run's chunks
+        pools.clear()
+        argv = CLT_ARGS + ["--reps", "300", "--workers", "4", "--out", str(tmp_path / "clt.json")]
+        assert run_cli(argv) == EXIT_OK
+        assert pools == [2]
+
     def test_categorical_grid_bytes_at_one_and_two_workers(self, tmp_path, monkeypatch):
         # 16-replicate chunks give 7 tasks a grid point, so each worker
         # switches its grid point (K=100, then 316) between tasks of one pool
@@ -306,6 +352,32 @@ class TestCltCommand:
         record = json.loads(out.read_text())
         assert record["config"]["reps"] == 200
         assert record["results"]["experiments"][0]["replicates"] == 200
+
+    def test_null_config_value_takes_the_default(self, tmp_path):
+        config = {"family": "harmonic", "K_rule": "fixed:8", "n_grid": [500], "reps": 150, "seed": 77}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**config, "delta": None, "sampler": None}))
+        out = tmp_path / "out.json"
+        assert run_cli(["clt", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+        echoed = json.loads(out.read_text())["config"]
+        assert (echoed["delta"], echoed["sampler"]) == (1.0, "multinomial")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("{not json", "cannot read config file"), ("null", "must hold a JSON object"), ("[1]", "must hold a JSON object")],
+        ids=["not-json", "null", "list"],
+    )
+    def test_config_file_must_hold_a_json_object(self, tmp_path, capsys, text, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        assert run_cli(["clt", "--config", str(cfg_path)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
+    def test_grid_flag_of_non_integers_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["clt", "--n-grid", "1000,x"])
+        assert exc.value.code == EXIT_CONFIG
+        assert "entries must be integers" in capsys.readouterr().err
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -40,6 +40,16 @@ class TestPluginEntropy:
     def test_point_mass(self):
         assert plugin_entropy(cv([0, 9, 0])) == 0.0
 
+    def test_zero_sums_are_positive_zero(self):
+        # each is an exact sum of +0.0, or its negation, which must not read -0.0
+        values = [plugin_entropy(cv([0, 9, 0]))]
+        for counts, probs in (([5], (1.0,)), ([3, 3], (0.5, 0.5))):
+            rep = estimator._decompose(cv(counts), validate_pmf(probs))
+            values += [rep.linear_term, rep.kl_term, rep.chi2_term]
+        values.append(decompose(cv([5]), validate_pmf((1.0,))).plugin_entropy)
+        assert values == [0.0] * 8
+        assert [math.copysign(1.0, v) for v in values] == [1.0] * 8
+
     def test_uniform_counts(self):
         assert plugin_entropy(cv([2, 2, 2, 2])) == pytest.approx(math.log(4.0), abs=1e-15)
 
@@ -198,10 +208,12 @@ class TestReportMemo:
     def test_filled_table_dies_with_its_pmf(self):
         pmf = build_family(FamilySpec(HARMONIC, 2))
         report = decompose(cv([7, 3]), pmf)
-        refs = weakref.ref(estimator._small_reports(pmf)), weakref.ref(report)
+        # the table is a plain dict: the report only it holds shows it freed
+        assert list(estimator._small_reports(pmf).values()) == [report]
+        ref = weakref.ref(report)
         del pmf, report
         gc.collect()
-        assert [ref() for ref in refs] == [None, None]
+        assert ref() is None
 
 
 class TestStandardizedScaling:

@@ -16,7 +16,7 @@ from entrokit.alphabet import (
     build_family,
     validate_pmf,
 )
-from entrokit.estimator import _small_reports, decompose
+from entrokit.estimator import DecompositionReport, _small_reports, decompose
 from entrokit.exact import (
     DegenerateVarianceError,
     MdpSchedule,
@@ -159,6 +159,8 @@ class TestLogLaw:
         pmf = build_family(FamilySpec(HARMONIC, 50))
         value = table(pmf)
         assert table(pmf) is value
+        if table is _small_reports:  # a plain dict: watch a report that only it holds
+            value = value.setdefault(b"counts", DecompositionReport(0.0, 0.0, 0.0, 0.0, None))
         ref = weakref.ref(value)
         del pmf, value
         gc.collect()
@@ -170,7 +172,8 @@ class TestEntropy:
         assert entropy(build_family(FamilySpec(UNIFORM, 8))) == pytest.approx(math.log(8.0), abs=1e-14)
 
     def test_single_atom(self):
-        assert entropy(validate_pmf((1.0,))) == 0.0
+        h = entropy(validate_pmf((1.0,)))
+        assert h == 0.0 and math.copysign(1.0, h) == 1.0  # +0.0, not a negated +0.0
 
     def test_dyadic_exact(self, dyadic):
         assert entropy(dyadic) == pytest.approx(1.5 * LN2, abs=1e-15)
@@ -433,6 +436,65 @@ class TestMdpCondition:
             MdpSchedule(rho=0.25, epsilon=1.0, r=10**400)
         with pytest.raises(ValueError, match=r"r\*r finite"):
             MdpSchedule(rho=0.25, epsilon=1.0, r=10**200)
+
+
+_SCHEDULE = MdpSchedule(rho=0.2, epsilon=1.0, r=0.5)
+# every exact function that takes a sample size n, or a moment offset delta
+_N_TAKERS = {
+    "berry_esseen_shape": lambda pmf, n: berry_esseen_shape(pmf, n, 1.0),
+    "mdp_condition": lambda pmf, n: mdp_condition(pmf, n, _SCHEDULE),
+}
+_DELTA_TAKERS = {
+    "abs_central_moment": abs_central_moment,
+    "split_moment_bound": split_moment_bound,
+    "berry_esseen_shape": lambda pmf, delta: berry_esseen_shape(pmf, 100, delta),
+    "exp_moment": exp_moment,
+    "exp_moment_envelope": exp_moment_envelope,
+}
+
+
+class TestArgumentContracts:
+    """n takes the samplers' sample-size contract and delta the real-number
+    contract of the config; a bad value raises a ValueError naming it."""
+
+    @pytest.mark.parametrize(
+        "value",
+        [2.5, True, 0, -3, (1 << 62) + 1, 10**400, "100", None, np.float64(100.0)],
+        ids=["2.5", "True", "0", "-3", "2^62+1", "10^400", "'100'", "None", "np.float64"],
+    )
+    @pytest.mark.parametrize("name", sorted(_N_TAKERS))
+    def test_bad_sample_size(self, name, value):
+        pmf = build_family(FamilySpec(HARMONIC, 20))
+        with pytest.raises(ValueError, match="sample size must be an integer in"):
+            _N_TAKERS[name](pmf, value)
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("0.5", "takes an int or a float"),
+            (True, "takes an int or a float"),
+            (None, "takes an int or a float"),
+            ([0.5], "takes an int or a float"),
+            (np.float32(0.5), "takes an int or a float"),
+            (10**400, "lies beyond float range"),
+        ],
+        ids=["'0.5'", "True", "None", "[0.5]", "np.float32", "10^400"],
+    )
+    @pytest.mark.parametrize("name", sorted(_DELTA_TAKERS))
+    def test_bad_delta(self, name, value, message):
+        pmf = build_family(FamilySpec(HARMONIC, 20))
+        with pytest.raises(ValueError, match=f"delta {message}"):
+            _DELTA_TAKERS[name](pmf, value)
+
+    @pytest.mark.parametrize("name", sorted(_DELTA_TAKERS))
+    def test_integer_delta_is_its_float(self, name):
+        pmf = build_family(FamilySpec(HARMONIC, 1000))  # sigma > 1, so the envelope does not warn
+        assert _DELTA_TAKERS[name](pmf, np.int64(1)) == _DELTA_TAKERS[name](pmf, 1.0)
+
+    @pytest.mark.parametrize("name", sorted(_N_TAKERS))
+    def test_numpy_sample_size_is_its_int(self, name):
+        pmf = build_family(FamilySpec(HARMONIC, 20))
+        assert _N_TAKERS[name](pmf, np.int64(1000)) == _N_TAKERS[name](pmf, 1000)
 
 
 class TestNormalCdf:

@@ -65,6 +65,8 @@ class TestKRule:
             KRule("fixed", 2.5)
         with pytest.raises(ConfigError):
             KRule("pow", -0.1)
+        with pytest.raises(ConfigError, match="unknown K rule kind 'cubic'"):
+            KRule("cubic", 1.0)
 
     @pytest.mark.parametrize(
         "text",
@@ -106,6 +108,20 @@ class TestExperimentConfig:
             small_config(sampler="bootstrap")
         with pytest.raises(ConfigError, match="family"):
             small_config(family="custom")
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(n_grid=()), "n_grid must be non-empty"),
+            (dict(n_grid=(0, 500)), "n_grid entries must be >= 1"),
+            (dict(master_seed=1 << 64), "master_seed must be a 64-bit unsigned integer"),
+            (dict(workers=0), "workers must be >= 1"),
+        ],
+        ids=["empty-grid", "n-zero", "seed-2^64", "no-workers"],
+    )
+    def test_settings_out_of_range(self, overrides, message):
+        with pytest.raises(ConfigError, match=message):
+            small_config(**overrides)
 
     def test_delta_range(self):
         with pytest.raises(ConfigError, match="delta"):
@@ -212,6 +228,12 @@ class TestKsDistance:
             ks_distance([])
         with pytest.raises(ValueError):
             ks_distance([1.0, 0.0])
+
+    @pytest.mark.parametrize("samples", [[0.0, math.nan], [math.nan], [math.nan, 0.0]], ids=repr)
+    def test_nan_is_rejected(self, samples):
+        # every comparison with NaN is false, so [0.0, nan] passed the order check
+        with pytest.raises(ValueError, match="NaN"):
+            ks_distance(samples)
 
     def test_null_level_on_true_gaussians(self):
         # Box-Muller normals from the package generator: the KS machinery
@@ -435,7 +457,12 @@ class TestPoolSize:
     )
     def test_clamps_to_chunks_and_cpus(self, monkeypatch, workers, chunks, cpus, expected):
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
-        assert _pool_size(workers, chunks) == expected
+        assert _pool_size(workers, chunks * montecarlo._WORKER_CHUNK) == expected
+
+    def test_a_partial_chunk_counts_as_one(self, monkeypatch):
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 8)
+        chunk = montecarlo._WORKER_CHUNK
+        assert [_pool_size(4, reps) for reps in (1, chunk, chunk + 1, 3 * chunk + 1)] == [1, 1, 2, 4]
 
 
 class TestRunBeSweep:
@@ -450,6 +477,17 @@ class TestRunBeSweep:
         sweep = run_be_sweep(small_config(n_grid=(500, 2000)))
         assert sweep.noise_band == pytest.approx(2.0 * 1.36 / math.sqrt(200), rel=1e-12)
         assert sweep.noise_inversions + sweep.hard_violations <= 1
+
+    def test_rise_beyond_the_noise_band_is_a_hard_violation(self):
+        # K = n^0.75 grows faster than the KS distance can shrink: its bias
+        # shift lifts KS from about 0.63 to 0.82 against a band of about 0.12
+        sweep = run_be_sweep(
+            small_config(k_rule=KRule("pow", 0.75), n_grid=(1000, 10_000), replicates=500, master_seed=3)
+        )
+        rise = sweep.rows[1].ks_distance - sweep.rows[0].ks_distance
+        assert rise > sweep.noise_band
+        assert (sweep.noise_inversions, sweep.hard_violations) == (0, 1)
+        assert sweep.ks_nonincreasing is False
 
 
 class TestRunMdp:
