@@ -18,6 +18,11 @@ Every :class:`Pmf` passes one support check, :func:`_check_support`.  A
 custom vector is loaded, type-checked and renormalized once, by
 :func:`load_custom_pmf`; its :class:`FamilySpec` holds the resulting Pmf.
 Each table derived from a Pmf is built once, by a :func:`per_pmf` builder.
+
+Every module imports this one, so the input contracts live here: what an
+integer is (:func:`_is_integer`), what a real is (:func:`_is_real`, taken
+as a float by :func:`_as_float`), and the check of every sample size and
+count total (:func:`_check_total`).
 """
 
 from __future__ import annotations
@@ -52,10 +57,40 @@ _NUMBER_TYPES = (int, float, np.integer, np.floating)
 # size peaks near 192 MB resident (about 16 bytes per cell, p and ln p,
 # over an interpreter of about 30 MB).
 MAX_ALPHABET_SIZE = 10_000_000
+# Counts are held in int64; capping n below 2^62 keeps n^2 terms downstream
+# of the estimator inside float64/int64 range.
+MAX_TOTAL = 1 << 62
 
 
 class PmfError(ValueError):
     """A probability vector violates the full-support/normalization contract."""
+
+
+def _is_integer(x: object) -> bool:
+    """The integer contract of sizes, counts and seeds: an ``int`` (so never a bool) or a numpy integer."""
+    return type(x) is int or isinstance(x, np.integer)
+
+
+def _is_real(x: object) -> bool:
+    """The contract of every real-valued setting: an integer as :func:`_is_integer` has it, or a float."""
+    return _is_integer(x) or isinstance(x, float)
+
+
+def _as_float(name: str, value: float) -> float:
+    """``value`` as a float: an int or a float (so never a bool or a string) within float range."""
+    if not _is_real(value):
+        raise ValueError(f"{name} takes an int or a float, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} lies beyond float range") from None
+
+
+def _check_total(n: int, name: str = "sample size") -> int:
+    """``n`` as a Python int: the one check of every sample size and count total."""
+    if _is_integer(n) and 1 <= n <= MAX_TOTAL:
+        return int(n)
+    raise ValueError(f"{name} must be an integer in [1, 2^62], got {n!r}")
 
 
 # _fsum: arrays shorter than _FSUM_MIN_SIZE go to math.fsum, which is faster
@@ -226,6 +261,9 @@ class FamilySpec:
     def __post_init__(self) -> None:
         if self.kind not in FAMILY_KINDS:
             raise PmfError(f"unknown family kind {self.kind!r}; expected one of {FAMILY_KINDS}")
+        if not _is_integer(self.size):
+            raise PmfError(f"alphabet size must be an integer, got {self.size!r}")
+        object.__setattr__(self, "size", int(self.size))
         if self.kind == CUSTOM:
             if self.pmf is None:
                 raise PmfError("custom family requires a pmf")

@@ -39,7 +39,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from .alphabet import PmfError, build_family, parse_family
+from .alphabet import PmfError, _as_float, _is_integer, _is_real, build_family, parse_family
 from .exact import (
     DegenerateVarianceError,
     MdpSchedule,
@@ -57,7 +57,6 @@ from .montecarlo import (
     run_clt,
     run_mdp,
 )
-from .sampling import _is_integer, _is_real  # JSON true/false load as bool, which both refuse
 
 SCHEMA_VERSION = "1.0.0"
 
@@ -198,7 +197,8 @@ def _grid(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"{text!r}: entries must be integers") from None
 
 
-# JSON type -> (its name in errors, the check every value must pass, the parser of flag text)
+# JSON type -> (its name in errors, the check every value must pass, the parser of flag text).
+# JSON true/false load as bool, which _is_integer and _is_real refuse.
 _JSON_TYPES = {
     "integer": ("an integer", _is_integer, int),
     "number": ("a number", _is_real, float),
@@ -228,10 +228,7 @@ def _load_config_file(path: str) -> dict:
         what, check, _ = _JSON_TYPES[kind]
         if not check(value):
             raise ConfigError(f"{name} must be {what}, got {value!r}")
-        try:
-            values[name] = float(value) if kind == "number" else value
-        except OverflowError:
-            raise ConfigError(f"{name} must be {what} within float range") from None
+        values[name] = _as_float(name, value) if kind == "number" else value
     return values
 
 
@@ -285,14 +282,14 @@ def _cmd_describe(args: argparse.Namespace) -> int:
         "split_moment_bound": split_moment_bound(pmf, delta),
     }
     notes: list[str] = []
-    if pop.degenerate:
+    if pop.degenerate or delta <= 0.0:
         results["exp_moment"] = None
         results["exp_moment_envelope"] = None
-        notes.append("sigma is zero: exponential moments are undefined")
-    elif delta <= 0.0:
-        results["exp_moment"] = None
-        results["exp_moment_envelope"] = None
-        notes.append("delta is zero: exponential moments are trivially 1")
+        notes.append(
+            "sigma is zero: exponential moments are undefined"
+            if pop.degenerate
+            else "delta is zero: exponential moments are trivially 1"
+        )
     else:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")

@@ -13,10 +13,10 @@ moderate-deviation value is evaluated in log space.
 Every functional reads one :class:`LogLaw` per Pmf: ``ln p`` and the
 population summary, computed in a single log pass on first use and cached
 for as long as the Pmf lives.  ``ln p + H`` is formed block by block where
-a sum needs it; both absolute moments are the one streamed sum
-``sum p |ln p + s|^{2+delta}``, with s = H and s = 0.  A sample size n
-takes the samplers' contract (``sampling._check_total``) and delta the
-real-number one (``sampling._is_real``); a bad value raises a ValueError
+a sum needs it; the absolute and exponential moments are the one streamed
+sum ``sum p f(|ln p + s|)``, with s = H or s = 0.  A sample size n takes
+the library's contract (``alphabet._check_total``) and delta the
+real-number one (``alphabet._as_float``); a bad value raises a ValueError
 that names it.
 
 Unknown absolute constants in the bound shapes are fixed to 1: the
@@ -27,13 +27,14 @@ monotone trends), never constants.  All entropies are in nats.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .alphabet import Pmf, _fsum_terms, per_pmf
-from .sampling import _check_total, _is_real
+from .alphabet import Pmf, _as_float, _check_total, _fsum_terms, per_pmf
 
 # Variance this close to zero is rounding noise from a constant log-probability;
 # clamp to exactly 0 and treat the distribution as degenerate.
@@ -83,16 +84,6 @@ class MdpSchedule:
     def scale(self, n: int) -> float:
         """The deviation scale b_n evaluated at sample size n."""
         return float(n) ** self.rho
-
-
-def _as_float(name: str, value: float) -> float:
-    """``value`` as a float: an int or a float (so never a bool or a string) within float range."""
-    if not _is_real(value):
-        raise ValueError(f"{name} takes an int or a float, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{name} lies beyond float range") from None
 
 
 def _check_delta(delta: float) -> float:
@@ -158,27 +149,32 @@ def population_summary(pmf: Pmf) -> PopulationSummary:
     return log_law(pmf).summary
 
 
-def _require_sigma(pmf: Pmf) -> LogLaw:
-    law = log_law(pmf)
-    if law.summary.degenerate:
+def _require_sigma(pmf: Pmf) -> PopulationSummary:
+    pop = population_summary(pmf)
+    if pop.degenerate:
         raise DegenerateVarianceError(
             "degenerate variance: ln p(X) is constant (uniform distribution)"
         )
-    return law
+    return pop
 
 
-def _abs_log_moment(pmf: Pmf, shift: float, power: float) -> float:
-    """``sum p |ln p + shift|^power``, streamed a block at a time."""
+def _abs_log_sum(pmf: Pmf, shift: float, step: Callable[[np.ndarray], object]) -> float:
+    """``sum p f(|ln p + shift|)``, streamed a block at a time; ``step`` applies f to a block in place."""
     p, logp = pmf.probs, log_law(pmf).logp
 
     def term(a: int, b: int) -> np.ndarray:
         t = logp[a:b] + shift
         np.abs(t, out=t)
-        t **= power
+        step(t)
         t *= p[a:b]
         return t
 
     return _fsum_terms(term, p.size)
+
+
+def _abs_log_moment(pmf: Pmf, shift: float, power: float) -> float:
+    """``sum p |ln p + shift|^power``, streamed a block at a time."""
+    return _abs_log_sum(pmf, shift, lambda t: operator.ipow(t, power))
 
 
 def abs_central_moment(pmf: Pmf, delta: float) -> float:
@@ -210,20 +206,15 @@ def exp_moment(pmf: Pmf, delta: float) -> float:
     Requires ``sigma > 0``; may overflow to ``inf`` for large ``delta``.
     """
     delta = _check_positive_delta(delta)
-    law = _require_sigma(pmf)
-    p, logp, pop = pmf.probs, law.logp, law.summary
+    pop = _require_sigma(pmf)
 
-    def term(a: int, b: int) -> np.ndarray:
-        t = logp[a:b] + pop.entropy
-        np.abs(t, out=t)
+    def step(t: np.ndarray) -> None:
         t *= delta
         t /= pop.sigma
         np.exp(t, out=t)
-        t *= p[a:b]
-        return t
 
     with np.errstate(over="ignore"):
-        return _fsum_terms(term, p.size)
+        return _abs_log_sum(pmf, pop.entropy, step)
 
 
 def exp_moment_envelope(pmf: Pmf, delta: float) -> float:
@@ -235,7 +226,7 @@ def exp_moment_envelope(pmf: Pmf, delta: float) -> float:
     is still returned.  A value beyond float range returns ``inf``.
     """
     delta = _check_positive_delta(delta)
-    pop = _require_sigma(pmf).summary
+    pop = _require_sigma(pmf)
     ratio = delta / pop.sigma
     if ratio >= 1.0:
         warnings.warn(
@@ -262,7 +253,7 @@ def berry_esseen_shape(pmf: Pmf, n: int, delta: float) -> float:
     """
     delta = _check_delta(delta)
     n = _check_total(n)
-    pop = _require_sigma(pmf).summary
+    pop = _require_sigma(pmf)
     moment = abs_central_moment(pmf, delta)
     term_clt = moment / (float(n) ** (delta / 2.0) * pop.sigma ** (2.0 + delta))
     term_alphabet = math.sqrt(pmf.size / (math.sqrt(n) * pop.sigma))
@@ -277,7 +268,7 @@ def mdp_condition(pmf: Pmf, n: int, schedule: MdpSchedule) -> float:
     -infinity along an n-grid; a single value carries no information.
     """
     n = _check_total(n)
-    pop = _require_sigma(pmf).summary
+    pop = _require_sigma(pmf)
     b = schedule.scale(n)
     p = pmf.probs
     scale = -2.0 * schedule.epsilon * math.sqrt(n) * b * pop.sigma

@@ -42,9 +42,12 @@ from .alphabet import (
     HARMONIC,
     LOG_HARMONIC,
     MAX_ALPHABET_SIZE,
+    MAX_TOTAL,
     UNIFORM,
     FamilySpec,
     Pmf,
+    _is_integer,
+    _is_real,
     build_family,
 )
 from .exact import (
@@ -58,14 +61,7 @@ from .exact import (
     population_summary,
 )
 from .estimator import decompose
-from .sampling import (
-    MAX_TOTAL,
-    _is_integer,
-    _is_real,
-    derive_stream_seeds,
-    sample_counts_categorical,
-    sample_counts_multinomial,
-)
+from .sampling import derive_stream_seeds, sample_counts_categorical, sample_counts_multinomial
 
 RULE_KINDS = ("fixed", "pow", "logpow")
 SAMPLERS = ("categorical", "multinomial")
@@ -174,6 +170,12 @@ class ExperimentConfig:
             raise ConfigError(
                 f"experiments take a parametric family {PARAMETRIC_FAMILIES}, got {self.family!r}"
             )
+        if not isinstance(self.n_grid, (tuple, list)):
+            raise ConfigError(f"n_grid takes a tuple or list of integers, got {self.n_grid!r}")
+        if not isinstance(self.k_rule, KRule):
+            raise ConfigError(f"k_rule takes a KRule (see parse_k_rule), got {self.k_rule!r}")
+        if not (self.mdp is None or isinstance(self.mdp, MdpSchedule)):
+            raise ConfigError(f"mdp takes an MdpSchedule or None, got {self.mdp!r}")
         for value in (*self.n_grid, self.replicates, self.master_seed, self.workers):
             if not _is_integer(value):
                 raise ConfigError(f"n_grid, replicates, master_seed and workers take integers, got {value!r}")
@@ -467,16 +469,9 @@ def run_be_sweep(config: ExperimentConfig) -> BeSweepResult:
                 )
             )
     band = 2.0 * _KS_NULL_95 / math.sqrt(config.replicates)
-    noise = 0
-    hard = 0
-    for prev, cur in zip(rows, rows[1:]):
-        rise = cur.ks_distance - prev.ks_distance
-        if rise <= 0.0:
-            continue
-        if rise <= band:
-            noise += 1
-        else:
-            hard += 1
+    rises = [cur.ks_distance - prev.ks_distance for prev, cur in zip(rows, rows[1:])]
+    noise = sum(0.0 < rise <= band for rise in rises)
+    hard = sum(rise > band for rise in rises)
     return BeSweepResult(
         rows=tuple(rows),
         noise_band=band,

@@ -38,9 +38,9 @@ input range), and one such bit can flip an accept decision or an
 inversion step and so change the counts.
 
 Seeds pass one check, :func:`_check_seed` (an integer in [0, 2^64)), and
-sample sizes and count totals another, :func:`_check_total` (an integer in
-[1, 2^62]).  An integer is of type ``int`` (so never a bool) or a numpy
-integer, never a float or string; a numpy seed names the stream its int does.
+sample sizes and count totals the library's one, ``alphabet._check_total``;
+both take integers as ``alphabet._is_integer`` has them, and a numpy seed
+names the stream its int does.
 
 Neither sampler has a failure branch: every suffix mass of a Pmf is
 positive (see :func:`_chain_plan`), so the chain never runs out of mass.
@@ -79,7 +79,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .alphabet import Pmf, per_pmf
+from .alphabet import Pmf, _check_total, _is_integer, per_pmf
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -89,10 +89,6 @@ _MIX_B = 0x94D049BB133111EB
 # seeds are collision-free across all indices for a fixed master seed.
 _STREAM_MULT = 0xD1342543DE82EF95
 _STREAM_SALT = 0x632BE59BD9B4E019
-
-# Counts are held in int64; capping n below 2^62 keeps n^2 terms downstream
-# of the estimator inside float64/int64 range.
-MAX_TOTAL = 1 << 62
 
 _INVERSION_CUTOFF = 30.0
 # The inversion walk stops here.  For a mean n*p <= 30, the Chernoff bound
@@ -136,28 +132,11 @@ _DRAW_BATCH = 1 << 20
 _STEP = np.arange(_SUB_BLOCK, dtype=np.uint64) * np.uint64(_GOLDEN)
 
 
-def _is_integer(x: object) -> bool:
-    """The integer contract of seeds, sizes and counts: an ``int`` (so never a bool) or a numpy integer."""
-    return type(x) is int or isinstance(x, np.integer)
-
-
-def _is_real(x: object) -> bool:
-    """The contract of every real-valued setting: an integer as :func:`_is_integer` has it, or a float."""
-    return _is_integer(x) or isinstance(x, float)
-
-
 def _check_seed(seed: int, name: str = "stream_seed") -> int:
     """``seed`` as a Python int: the one check of every 64-bit seed or stream index."""
     if _is_integer(seed) and 0 <= seed <= _MASK64:
         return int(seed)
     raise ValueError(f"{name} must be a 64-bit unsigned integer, got {seed!r}")
-
-
-def _check_total(n: int, name: str = "sample size") -> int:
-    """``n`` as a Python int: the one check of every sample size and count total."""
-    if _is_integer(n) and 1 <= n <= MAX_TOTAL:
-        return int(n)
-    raise ValueError(f"{name} must be an integer in [1, 2^62], got {n!r}")
 
 
 def _mix64(z: int) -> int:
@@ -246,7 +225,8 @@ class CountVector:
         if np.any(counts < 0):
             raise ValueError("counts must be nonnegative")
         total = _check_total(self.total, "total")
-        if int(counts.sum()) != total:
+        # summed in Python ints: an int64 sum wraps, and so can match a total that no count sums to
+        if counts.sum(dtype=object) != total:
             raise ValueError("counts must sum to the stated total")
         counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)

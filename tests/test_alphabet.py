@@ -123,6 +123,18 @@ class TestBuildFamily:
         with pytest.raises(PmfError, match="cap"):
             FamilySpec(UNIFORM, MAX_ALPHABET_SIZE + 1)
 
+    @pytest.mark.parametrize("kind", [HARMONIC, CUSTOM])
+    @pytest.mark.parametrize("size", [2.5, 3.0, True, "10", None], ids=repr)
+    def test_size_takes_an_integer(self, kind, size):
+        # harmonic 2.5 built K=3 and True K=1; "10" and None raised a bare TypeError
+        pmf = validate_pmf((0.5, 0.5)) if kind == CUSTOM else None
+        with pytest.raises(PmfError, match="alphabet size must be an integer"):
+            FamilySpec(kind, size, pmf)
+
+    def test_numpy_size_is_held_as_an_int(self):
+        spec = FamilySpec(HARMONIC, np.int64(5))
+        assert type(spec.size) is int and build_family(spec).size == 5
+
 
 class TestValidatePmf:
     def test_accepts_simple_vector(self):

@@ -791,6 +791,31 @@ def test_package_import_loads_no_numpy_and_sets_nothing():
     assert _fresh_python(code) == "False None"
 
 
+def _entrokit_imports(module):
+    """The entrokit modules that ``module`` imports, read from its relative imports."""
+    tree = ast.parse(Path(cli.__file__).with_name(f"{module}.py").read_text(encoding="utf-8"))
+    return {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level}
+
+
+@pytest.mark.parametrize(
+    "module, imports",
+    [("alphabet", set()), ("exact", {"alphabet"}), ("sampling", {"alphabet"})],
+    ids=["alphabet", "exact", "sampling"],
+)
+def test_input_contracts_sit_at_the_bottom_of_the_import_graph(module, imports):
+    # alphabet holds the contracts every module checks its inputs by, so the
+    # population functionals and the sampler need nothing above it
+    assert _entrokit_imports(module) == imports
+
+
+def test_cli_does_not_import_the_sampler():
+    assert "sampling" not in _entrokit_imports("cli")
+
+
+def test_exact_import_leaves_the_sampler_unloaded():
+    assert _fresh_python("import sys, entrokit.exact; print('entrokit.sampling' in sys.modules)") == "False"
+
+
 def _numpy_uses_openblas():
     # only OpenBLAS reads OPENBLAS_NUM_THREADS; another BLAS may start threads of its own
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]

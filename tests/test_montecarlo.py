@@ -191,6 +191,29 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="integers"):
             small_config(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_grid", 5),
+            ("n_grid", None),
+            ("n_grid", "500"),
+            ("n_grid", (n for n in (500, 600))),
+            ("k_rule", "pow:0.5"),
+            ("k_rule", None),
+            ("mdp", "x"),
+            ("mdp", MdpSchedule),
+        ],
+        ids=["grid-int", "grid-None", "grid-str", "grid-generator", "rule-str", "rule-None", "mdp-str", "mdp-class"],
+    )
+    def test_structured_settings_take_their_types(self, field, value):
+        # 5 and None raised a bare TypeError, a generator was read as empty,
+        # "pow:0.5" raised AttributeError, and mdp="x" failed inside run_mdp
+        with pytest.raises(ConfigError, match=f"^{field} takes"):
+            small_config(**{field: value})
+
+    def test_grid_may_be_a_list(self):
+        assert small_config(n_grid=[500, 600]).n_grid == (500, 600)
+
     def test_numpy_integers_are_held_as_ints(self):
         config = small_config(
             n_grid=(np.int64(500), 600), replicates=np.int32(200), master_seed=np.uint64(11), workers=np.int8(1)

@@ -13,7 +13,7 @@ import pytest
 from scipy.stats import binom, chi2
 
 from entrokit import sampling
-from entrokit.alphabet import FamilySpec, HARMONIC, build_family, validate_pmf
+from entrokit.alphabet import MAX_TOTAL, FamilySpec, HARMONIC, build_family, validate_pmf
 from entrokit.sampling import (
     _BLOCK,
     _DRAW_BATCH,
@@ -22,7 +22,6 @@ from entrokit.sampling import (
     _LGAMMA_TOL,
     _SCALAR_DRAWS,
     _SUB_BLOCK,
-    MAX_TOTAL,
     AliasTable,
     CountVector,
     _binomial_inversion,
@@ -250,6 +249,16 @@ class TestCountVector:
     def test_total_must_be_an_integer(self, total):
         with pytest.raises(ValueError, match="total"):
             CountVector([1, 2], total)
+
+    @pytest.mark.parametrize(
+        "counts, total",
+        [(np.full(5, 2**62), 2**62), ([2**62, 2**62, 2**62, 2**62 + 5], 5)],
+        ids=["five-times-the-total", "counts-above-the-total"],
+    )
+    def test_total_is_checked_without_wrapping(self, counts, total):
+        # both int64 sums wrap to the stated total
+        with pytest.raises(ValueError, match="sum to the stated total"):
+            CountVector(counts, total)
 
     def test_integer_entries_of_any_width(self):
         cv = CountVector(np.array([1, 2], dtype=np.uint8), np.int64(3))
