@@ -21,8 +21,8 @@ Each table derived from a Pmf is built once, by a :func:`per_pmf` builder.
 
 Every module imports this one, so the input contracts live here: what an
 integer is (:func:`_is_integer`), what a real is (:func:`_is_real`, taken
-as a float by :func:`_as_float`), and the check of every sample size and
-count total (:func:`_check_total`).
+as a float by :func:`_as_float`), and the checks of every sample size and
+count total (:func:`_check_total`) and of every seed (:func:`_check_seed`).
 """
 
 from __future__ import annotations
@@ -91,6 +91,13 @@ def _check_total(n: int, name: str = "sample size") -> int:
     if _is_integer(n) and 1 <= n <= MAX_TOTAL:
         return int(n)
     raise ValueError(f"{name} must be an integer in [1, 2^62], got {n!r}")
+
+
+def _check_seed(seed: int, name: str = "stream_seed") -> int:
+    """``seed`` as a Python int: the one check of every 64-bit seed or stream index."""
+    if _is_integer(seed) and 0 <= seed <= (1 << 64) - 1:
+        return int(seed)
+    raise ValueError(f"{name} must be a 64-bit unsigned integer, got {seed!r}")
 
 
 # _fsum: arrays shorter than _FSUM_MIN_SIZE go to math.fsum, which is faster

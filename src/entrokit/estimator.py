@@ -24,12 +24,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .alphabet import Pmf, _fsum, per_pmf
 from .exact import log_law
-from .sampling import CountVector
+
+if TYPE_CHECKING:
+    from .sampling import CountVector
 
 # An analytically nonnegative KL sum that rounds slightly below zero is noise.
 _KL_CLAMP_TOL = 1e-12

@@ -21,6 +21,10 @@ replicate re-checks the decomposition identity and the KL/chi-square
 sandwich; each chunk tests them over its rows at once and raises for the
 first failing replicate in stream order.
 
+``ExperimentConfig`` checks its sizes, counts, seed and delta by the
+library's checks, raising their errors as ``ConfigError``, and states only
+the experiment's own rules.
+
 The result records (``EcdfSummary``, ``BeSweepResult``, ``BeSweepRow``,
 ``MdpCell``) are the CLI payload: their field names, in order, are its keys.
 """
@@ -42,11 +46,11 @@ from .alphabet import (
     HARMONIC,
     LOG_HARMONIC,
     MAX_ALPHABET_SIZE,
-    MAX_TOTAL,
     UNIFORM,
     FamilySpec,
     Pmf,
-    _is_integer,
+    _check_seed,
+    _check_total,
     _is_real,
     build_family,
 )
@@ -54,6 +58,7 @@ from .exact import (
     DegenerateVarianceError,
     MdpSchedule,
     PopulationSummary,
+    _check_delta,
     berry_esseen_shape,
     entropy,
     mdp_condition,
@@ -176,38 +181,30 @@ class ExperimentConfig:
             raise ConfigError(f"k_rule takes a KRule (see parse_k_rule), got {self.k_rule!r}")
         if not (self.mdp is None or isinstance(self.mdp, MdpSchedule)):
             raise ConfigError(f"mdp takes an MdpSchedule or None, got {self.mdp!r}")
-        for value in (*self.n_grid, self.replicates, self.master_seed, self.workers):
-            if not _is_integer(value):
-                raise ConfigError(f"n_grid, replicates, master_seed and workers take integers, got {value!r}")
-        for name in ("replicates", "master_seed", "workers"):
-            object.__setattr__(self, name, int(getattr(self, name)))
-        grid = tuple(map(int, self.n_grid))
+        try:
+            for name, value in (
+                ("n_grid", tuple(_check_total(n, "n_grid entry") for n in self.n_grid)),
+                ("replicates", _check_total(self.replicates, "replicates")),
+                ("master_seed", _check_seed(self.master_seed, "master_seed")),
+                ("delta", _check_delta(self.delta)),
+                ("workers", _check_total(self.workers, "workers")),
+            ):
+                object.__setattr__(self, name, value)
+        except ValueError as exc:
+            raise ConfigError(*exc.args) from None
+        grid = self.n_grid
         if not grid:
             raise ConfigError("n_grid must be non-empty")
-        if any(n < 1 for n in grid):
-            raise ConfigError("n_grid entries must be >= 1")
-        if any(n > MAX_TOTAL for n in grid):
-            raise ConfigError("n_grid entries must be <= 2^62, the samplers' domain")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError("n_grid must be strictly increasing")
-        object.__setattr__(self, "n_grid", grid)
         if self.replicates < 100:
             raise ConfigError(
                 f"replicates must be >= 100 for any distributional summary, got {self.replicates}"
             )
         if self.replicates > _MAX_REPLICATES:
             raise ConfigError(f"replicates must be <= 2^24 per grid point, got {self.replicates}")
-        if not 0 <= self.master_seed <= (1 << 64) - 1:
-            raise ConfigError("master_seed must be a 64-bit unsigned integer")
-        if not _is_real(self.delta):
-            raise ConfigError(f"delta takes an int or a float, got {self.delta!r}")
-        if not 0 <= self.delta <= 1:
-            raise ConfigError(f"delta must lie in [0, 1], got {self.delta}")
-        object.__setattr__(self, "delta", float(self.delta))
         if self.sampler not in SAMPLERS:
             raise ConfigError(f"sampler must be one of {SAMPLERS}, got {self.sampler!r}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
         for n in grid:
             size = self.k_rule.alphabet_size(n)
             if not 2 <= size <= MAX_ALPHABET_SIZE:

@@ -37,10 +37,10 @@ disagreed with libm on 3 to 21 of 20 000 random inputs, depending on the
 input range), and one such bit can flip an accept decision or an
 inversion step and so change the counts.
 
-Seeds pass one check, :func:`_check_seed` (an integer in [0, 2^64)), and
-sample sizes and count totals the library's one, ``alphabet._check_total``;
-both take integers as ``alphabet._is_integer`` has them, and a numpy seed
-names the stream its int does.
+Seeds and stream indices pass the library's check ``alphabet._check_seed``
+(an integer in [0, 2^64)), sample sizes and count totals its
+``alphabet._check_total``; both take integers as ``alphabet._is_integer``
+has them, and a numpy seed names the stream its int does.
 
 Neither sampler has a failure branch: every suffix mass of a Pmf is
 positive (see :func:`_chain_plan`), so the chain never runs out of mass.
@@ -79,7 +79,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .alphabet import Pmf, _check_total, _is_integer, per_pmf
+from .alphabet import Pmf, _check_seed, _check_total, per_pmf
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -130,13 +130,6 @@ _SUB_BLOCK = 1 << 14
 _DRAW_BATCH = 1 << 20
 # Counter-word offsets j * golden (mod 2^64), which every block of words slices.
 _STEP = np.arange(_SUB_BLOCK, dtype=np.uint64) * np.uint64(_GOLDEN)
-
-
-def _check_seed(seed: int, name: str = "stream_seed") -> int:
-    """``seed`` as a Python int: the one check of every 64-bit seed or stream index."""
-    if _is_integer(seed) and 0 <= seed <= _MASK64:
-        return int(seed)
-    raise ValueError(f"{name} must be a 64-bit unsigned integer, got {seed!r}")
 
 
 def _mix64(z: int) -> int:

@@ -791,21 +791,56 @@ def test_package_import_loads_no_numpy_and_sets_nothing():
     assert _fresh_python(code) == "False None"
 
 
+def _module_tree(module):
+    return ast.parse(Path(cli.__file__).with_name(f"{module}.py").read_text(encoding="utf-8"))
+
+
 def _entrokit_imports(module):
-    """The entrokit modules that ``module`` imports, read from its relative imports."""
-    tree = ast.parse(Path(cli.__file__).with_name(f"{module}.py").read_text(encoding="utf-8"))
-    return {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level}
+    """The entrokit modules that ``module`` imports at run time, read from its relative imports.
+
+    Imports under ``if TYPE_CHECKING:`` serve annotations only, so they are left out.
+    """
+    tree = _module_tree(module)
+    typing_only = {
+        id(node)
+        for block in ast.walk(tree)
+        if isinstance(block, ast.If) and isinstance(block.test, ast.Name) and block.test.id == "TYPE_CHECKING"
+        for statement in block.body
+        for node in ast.walk(statement)
+    }
+    return {
+        node.module
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level and id(node) not in typing_only
+    }
 
 
 @pytest.mark.parametrize(
     "module, imports",
-    [("alphabet", set()), ("exact", {"alphabet"}), ("sampling", {"alphabet"})],
-    ids=["alphabet", "exact", "sampling"],
+    [("alphabet", set()), ("exact", {"alphabet"}), ("sampling", {"alphabet"}), ("estimator", {"alphabet", "exact"})],
+    ids=["alphabet", "exact", "sampling", "estimator"],
 )
 def test_input_contracts_sit_at_the_bottom_of_the_import_graph(module, imports):
     # alphabet holds the contracts every module checks its inputs by, so the
-    # population functionals and the sampler need nothing above it
+    # population functionals and the sampler need nothing above it, and the
+    # estimator needs only the Pmf and its functionals
     assert _entrokit_imports(module) == imports
+
+
+def test_input_contracts_are_defined_in_alphabet_only():
+    contracts = {"_is_integer", "_is_real", "_as_float", "_check_total", "_check_seed"}
+    homes = {name: set() for name in contracts}
+    for path in Path(cli.__file__).parent.glob("*.py"):
+        for node in ast.walk(_module_tree(path.stem)):
+            if isinstance(node, ast.FunctionDef):
+                names = {node.name}
+            elif isinstance(node, ast.Assign):
+                names = {target.id for target in node.targets if isinstance(target, ast.Name)}
+            else:
+                continue
+            for name in names & contracts:
+                homes[name].add(path.stem)
+    assert homes == {name: {"alphabet"} for name in contracts}
 
 
 def test_cli_does_not_import_the_sampler():
@@ -814,6 +849,11 @@ def test_cli_does_not_import_the_sampler():
 
 def test_exact_import_leaves_the_sampler_unloaded():
     assert _fresh_python("import sys, entrokit.exact; print('entrokit.sampling' in sys.modules)") == "False"
+
+
+def test_estimator_import_leaves_the_sampler_unloaded():
+    # the estimator names CountVector in annotations only
+    assert _fresh_python("import sys, entrokit.estimator; print('entrokit.sampling' in sys.modules)") == "False"
 
 
 def _numpy_uses_openblas():

@@ -94,6 +94,15 @@ class TestKRule:
             parse_k_rule(text).alphabet_size(1000)
 
 
+# The library's rule for each integer setting, as its check words it.
+_INTEGER_RULES = {
+    "n_grid": r"^n_grid entry must be an integer in \[1, 2\^62\], got ",
+    "replicates": r"^replicates must be an integer in \[1, 2\^62\], got ",
+    "master_seed": "^master_seed must be a 64-bit unsigned integer, got ",
+    "workers": r"^workers must be an integer in \[1, 2\^62\], got ",
+}
+
+
 class TestExperimentConfig:
     def test_replicate_floor(self):
         with pytest.raises(ConfigError, match="replicates"):
@@ -113,11 +122,18 @@ class TestExperimentConfig:
         "overrides, message",
         [
             (dict(n_grid=()), "n_grid must be non-empty"),
-            (dict(n_grid=(0, 500)), "n_grid entries must be >= 1"),
+            (dict(n_grid=(0, 500)), r"n_grid entry must be an integer in \[1, 2\^62\], got 0$"),
+            (dict(n_grid=(-1, 500)), r"n_grid entry must be an integer in \[1, 2\^62\], got -1$"),
+            (dict(n_grid=(500, (1 << 62) + 1)), r"n_grid entry must be an integer in \[1, 2\^62\]"),
             (dict(master_seed=1 << 64), "master_seed must be a 64-bit unsigned integer"),
-            (dict(workers=0), "workers must be >= 1"),
+            (dict(master_seed=-1), "master_seed must be a 64-bit unsigned integer, got -1$"),
+            (dict(workers=0), r"workers must be an integer in \[1, 2\^62\], got 0$"),
+            (dict(workers=(1 << 62) + 1), r"workers must be an integer in \[1, 2\^62\]"),
         ],
-        ids=["empty-grid", "n-zero", "seed-2^64", "no-workers"],
+        ids=[
+            "empty-grid", "n-zero", "n-negative", "n-above-2^62",
+            "seed-2^64", "seed-negative", "no-workers", "workers-above-2^62",
+        ],
     )
     def test_settings_out_of_range(self, overrides, message):
         with pytest.raises(ConfigError, match=message):
@@ -127,9 +143,19 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="delta"):
             small_config(delta=1.5)
 
-    @pytest.mark.parametrize("value", [-0.1, math.nan, 10**400], ids=["negative", "nan", "beyond-float-range"])
-    def test_delta_outside_the_unit_interval(self, value):
-        with pytest.raises(ConfigError, match="delta must lie in"):
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (-0.1, r"delta must lie in \[0, 1\], got -0.1$"),
+            (math.nan, r"delta must lie in \[0, 1\], got nan$"),
+            (10**400, "^delta lies beyond float range$"),
+            (-(10**400), "^delta lies beyond float range$"),
+        ],
+        ids=["negative", "nan", "beyond-float-range", "below-float-range"],
+    )
+    def test_delta_outside_the_unit_interval(self, value, message):
+        # 10**400 was refused with its 400 digits in the message
+        with pytest.raises(ConfigError, match=message):
             small_config(delta=value)
 
     @pytest.mark.parametrize("value", ["0.5", None, True, False, [0.5], np.float32(0.5)], ids=repr)
@@ -188,7 +214,7 @@ class TestExperimentConfig:
     )
     def test_integer_settings_take_integers_only(self, field, value):
         # 1000.7 became 1000 and (True, 5) ran; 150.5 and workers=1.5 failed in run_clt
-        with pytest.raises(ConfigError, match="integers"):
+        with pytest.raises(ConfigError, match=_INTEGER_RULES[field]):
             small_config(**{field: value})
 
     @pytest.mark.parametrize(
