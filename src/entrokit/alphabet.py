@@ -57,6 +57,9 @@ _NUMBER_TYPES = (int, float, np.integer, np.floating)
 # size peaks near 192 MB resident (about 16 bytes per cell, p and ln p,
 # over an interpreter of about 30 MB).
 MAX_ALPHABET_SIZE = 10_000_000
+# Largest expgeom alphabet: e^-i is subnormal from i = 709 and rounds to zero
+# from i = 746 on, which full support forbids.
+EXPGEOM_MAX_SIZE = 745
 # Counts are held in int64; capping n below 2^62 keeps n^2 terms downstream
 # of the estimator inside float64/int64 range.
 MAX_TOTAL = 1 << 62
@@ -284,8 +287,10 @@ class FamilySpec:
                 raise PmfError(f"alphabet size must be >= 1, got {self.size}")
             if self.kind == LOG_HARMONIC and self.size < 2:
                 raise PmfError("logharmonic family requires size >= 2")
+            if self.kind == EXP_GEOMETRIC and self.size > EXPGEOM_MAX_SIZE:
+                raise PmfError(f"expgeom weights underflow to zero beyond size {EXPGEOM_MAX_SIZE}")
         if self.size > MAX_ALPHABET_SIZE:
-            raise PmfError(f"alphabet size {self.size} exceeds the cap of {MAX_ALPHABET_SIZE}")
+            raise PmfError(f"the cap on alphabet size is {MAX_ALPHABET_SIZE}, got {self.size}")
 
 
 def family_weights(kind: str, size: int) -> np.ndarray:
@@ -309,22 +314,14 @@ def family_weights(kind: str, size: int) -> np.ndarray:
 def build_family(spec: FamilySpec) -> Pmf:
     """Construct the Pmf of a family, recording its weight normalizer.
 
-    Raises
-    ------
-    PmfError
-        When family weights underflow to exactly zero (expgeom does past
-        size ~745; such entries are rejected rather than zeroed).  A
-        custom spec returns the Pmf it holds, validated when loaded.
+    A custom spec returns the Pmf it holds, validated when loaded.  Every
+    size a :class:`FamilySpec` accepts has nonzero weights; on a host whose
+    ``exp`` flushes subnormals to zero, the Pmf's support check raises
+    :class:`PmfError` for expgeom's last weights.
     """
     if spec.kind == CUSTOM:
         return spec.pmf
     weights = family_weights(spec.kind, spec.size)
-    if np.any(weights == 0.0):
-        first = int(np.argmax(weights == 0.0)) + 1
-        raise PmfError(
-            f"{spec.kind} weights underflow to zero at position {first}; "
-            f"reduce the alphabet size (full support is required)"
-        )
     normalizer = _fsum(weights)
     weights /= normalizer
     return Pmf(weights, normalizer=normalizer)

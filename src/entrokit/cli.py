@@ -109,6 +109,11 @@ def _emit(obj: Any, indent: int, out: list[str]) -> None:
             _emit(value, indent + 2, out)
             separator = ",\n"
         out.append("\n" + pad + brackets[1])
+    # Last, so that no float of an array's list pays for these two checks.
+    elif dataclasses.is_dataclass(obj):
+        _emit({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}, indent, out)
+    elif isinstance(obj, np.ndarray):
+        _emit(obj.tolist(), indent, out)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} canonically")
 
@@ -124,13 +129,13 @@ def _write_record(
     args: argparse.Namespace,
     command: str,
     config: dict,
-    results: dict,
+    results: Any,
     rows: Iterable[dict] | None = None,
 ) -> None:
     """Write the JSON record to ``--out`` (else stdout) and, given ``--csv``, its ``rows``.
 
-    The CSV has one line per row, headed by the row's keys; floats as
-    repr, None as an empty field.
+    ``results`` may hold records and arrays.  The CSV has one line per row,
+    headed by the row's keys; floats as repr, None as an empty field.
     """
     record = {
         "schema_version": SCHEMA_VERSION,
@@ -174,7 +179,8 @@ _SETTINGS = (
     _Setting("n_grid", "grid", None, "comma-separated sample sizes, strictly increasing"),
     _Setting("reps", "integer", None, "replicates per grid point (>= 100, <= 2^24)"),
     _Setting("seed", "integer", None, "64-bit master seed (required; no silent default)"),
-    _Setting("delta", "number", 1.0, "moment exponent offset in [0, 1] (default 1)"),
+    _Setting("delta", "number", 1.0, "moment exponent offset in [0, 1] (default 1); "
+             "changes be's results only: clt and mdp check and echo it"),
     _Setting("sampler", "string", "multinomial", "categorical | multinomial (default multinomial)"),
     _Setting("workers", "integer", 1, "worker processes; never changes results (default 1)", echo=False),
 )
@@ -306,25 +312,13 @@ def _cmd_describe(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _fields(record: Any) -> Any:
-    """A result record as its payload: a dataclass as a dict of its fields in
-    order, a tuple or list as a list, an array as a list of numbers."""
-    if dataclasses.is_dataclass(record):
-        return {f.name: _fields(getattr(record, f.name)) for f in dataclasses.fields(record)}
-    if isinstance(record, (tuple, list)):
-        return [_fields(value) for value in record]
-    if isinstance(record, np.ndarray):
-        return record.tolist()
-    return record
-
-
 def _cmd_clt(args: argparse.Namespace) -> int:
     config, echo = _resolve_experiment(args)
-    per_n = _fields(run_clt(config))
+    per_n = run_clt(config)
     rows = (
-        {"n": e["n"], "K": e["K"], "rank": j, "z": z}
+        {"n": e.n, "K": e.K, "rank": j, "z": z}
         for e in per_n
-        for j, z in enumerate(e["z_samples"])
+        for j, z in enumerate(e.z_samples.tolist())
     )
     _write_record(args, "clt", echo, {"experiments": per_n}, rows)
     return EXIT_OK
@@ -332,15 +326,15 @@ def _cmd_clt(args: argparse.Namespace) -> int:
 
 def _cmd_be(args: argparse.Namespace) -> int:
     config, echo = _resolve_experiment(args)
-    results = _fields(run_be_sweep(config))
-    _write_record(args, "be", echo, results, results["rows"])
+    sweep = run_be_sweep(config)
+    _write_record(args, "be", echo, sweep, map(dataclasses.asdict, sweep.rows))
     return EXIT_OK
 
 
 def _cmd_mdp(args: argparse.Namespace) -> int:
     config, echo = _resolve_experiment(args)
-    cells = _fields(run_mdp(config))
-    _write_record(args, "mdp", echo, {"cells": cells}, cells)
+    cells = run_mdp(config)
+    _write_record(args, "mdp", echo, {"cells": cells}, map(dataclasses.asdict, cells))
     return EXIT_OK
 
 

@@ -22,8 +22,9 @@ sandwich; each chunk tests them over its rows at once and raises for the
 first failing replicate in stream order.
 
 ``ExperimentConfig`` checks its sizes, counts, seed and delta by the
-library's checks, raising their errors as ``ConfigError``, and states only
-the experiment's own rules.
+library's checks, and each grid point's K by making its ``FamilySpec``,
+raising their errors as ``ConfigError``; it states only the experiment's
+own rules.
 
 The result records (``EcdfSummary``, ``BeSweepResult``, ``BeSweepRow``,
 ``MdpCell``) are the CLI payload: their field names, in order, are its keys.
@@ -45,10 +46,10 @@ from .alphabet import (
     EXP_GEOMETRIC,
     HARMONIC,
     LOG_HARMONIC,
-    MAX_ALPHABET_SIZE,
     UNIFORM,
     FamilySpec,
     Pmf,
+    PmfError,
     _check_seed,
     _check_total,
     _is_real,
@@ -207,9 +208,13 @@ class ExperimentConfig:
             raise ConfigError(f"sampler must be one of {SAMPLERS}, got {self.sampler!r}")
         for n in grid:
             size = self.k_rule.alphabet_size(n)
-            if not 2 <= size <= MAX_ALPHABET_SIZE:
-                need = "need K >= 2" if size < 2 else f"the cap is {MAX_ALPHABET_SIZE}"
-                raise ConfigError(f"K rule {self.k_rule.render()} gives K={size} at n={n}; {need}")
+            gives = f"K rule {self.k_rule.render()} gives K={size} at n={n}"
+            if size < 2:
+                raise ConfigError(f"{gives}; need K >= 2")
+            try:
+                FamilySpec(self.family, size)
+            except PmfError as exc:
+                raise ConfigError(f"{gives}; {exc}") from None
         reps = self.replicates if self.mdp is None else max(self.replicates, _MDP_MAX_REPLICATES)
         if self.sampler == "categorical" and grid[-1] * reps > _MAX_CATEGORICAL_DRAWS:
             raise ConfigError(
@@ -367,12 +372,13 @@ def _replicates(config: ExperimentConfig, largest: int) -> Iterator[_Simulate]:
     replicates: yields ``simulate``.
 
     The run owns at most one process pool, sized by :func:`_pool_size` for
-    its largest grid point; a grid point of one chunk runs in this process.
-    When the run returns or raises the pool is shut down, waiting for its
-    workers, and the grid point is dropped.
+    its largest grid point and opened by the first grid point of more than
+    one chunk; a grid point of one chunk runs in this process.  When the run
+    returns or raises the pool is shut down, waiting for its workers, and
+    the grid point is dropped.
     """
     processes = _pool_size(config.workers, largest)
-    pool = concurrent.futures.ProcessPoolExecutor(max_workers=processes) if processes > 1 else None
+    pool = None
 
     def simulate(spec: FamilySpec, n: int, grid_index: int, count: int) -> np.ndarray:
         """Replicates ``0 .. count-1`` of grid point ``grid_index`` as ``(count, 3)``
@@ -381,13 +387,15 @@ def _replicates(config: ExperimentConfig, largest: int) -> Iterator[_Simulate]:
         in stream order.  A pool task covers about ``1 / _TASKS_PER_PROCESS``
         of a process's share of the chunks, and names the Pmf by ``spec``,
         which :func:`_family` builds once per grid point in each process."""
+        nonlocal pool
         first = grid_index * _GRID_STRIDE
         starts = range(first, first + count, _WORKER_CHUNK)
         sizes = [min(_WORKER_CHUNK, first + count - start) for start in starts]
         body = partial(_replicate_chunk, spec, n, config.sampler, config.master_seed)
-        if pool is None or len(sizes) < 2:
+        if processes < 2 or len(sizes) < 2:
             parts = list(map(body, starts, sizes))
         else:
+            pool = pool or concurrent.futures.ProcessPoolExecutor(max_workers=processes)
             chunksize = -(-len(sizes) // (_TASKS_PER_PROCESS * min(processes, len(sizes))))
             parts = list(pool.map(body, starts, sizes, chunksize=chunksize))
         return np.concatenate(parts)
@@ -401,7 +409,7 @@ def _replicates(config: ExperimentConfig, largest: int) -> Iterator[_Simulate]:
 
 
 def _grid_point(config: ExperimentConfig, n: int) -> tuple[FamilySpec, Pmf, PopulationSummary]:
-    size = config.k_rule.alphabet_size(n)  # in [2, MAX_ALPHABET_SIZE], checked with the config
+    size = config.k_rule.alphabet_size(n)  # a FamilySpec takes it: checked with the config
     spec = FamilySpec(config.family, size)
     pmf = _family(spec)
     pop = population_summary(pmf)
@@ -495,9 +503,10 @@ def run_mdp(config: ExperimentConfig) -> list[MdpCell]:
     The replicate count is auto-raised per cell until the Gaussian-
     approximation expected exceedance count reaches 20; cells that would
     need more than max(200 000, replicates) are flagged infeasible and not
-    sampled.  Every cell is sized before any is sampled, so the run's pool
-    fits its largest cell.  Cells with zero observed exceedances are flagged
-    rather than given a fabricated probability.
+    sampled.  Every cell is sized and its condition computed before any is
+    sampled, so the run's pool fits its largest cell, and a cell that raises
+    stops the run before any replicate is drawn.  Cells with zero observed
+    exceedances are flagged rather than given a fabricated probability.
     """
     if config.mdp is None:
         raise ConfigError("run_mdp requires an MdpSchedule on the configuration")
@@ -505,12 +514,15 @@ def run_mdp(config: ExperimentConfig) -> list[MdpCell]:
     sizes = [_mdp_replicates(schedule, config.replicates, n) for n in config.n_grid]
     cells = []
     with _replicates(config, max(sizes)) as simulate:
-        for gi, (n, m_used) in enumerate(zip(config.n_grid, sizes)):
+        points = []
+        for n in config.n_grid:
             spec, pmf, _ = _grid_point(config, n)
+            points.append((spec, mdp_condition(pmf, n, schedule)))
+        del pmf  # the last cell's Pmf stays in _points only
+        for gi, (n, m_used, (spec, condition)) in enumerate(zip(config.n_grid, sizes, points)):
             b = schedule.scale(n)
             threshold = schedule.r * b
             target = -0.5 * schedule.r**2
-            condition = mdp_condition(pmf, n, schedule)
             if m_used:
                 z = simulate(spec, n, gi, m_used)[:, 0]
                 exceedances = int(np.sum(np.abs(z) > threshold))
@@ -521,7 +533,7 @@ def run_mdp(config: ExperimentConfig) -> list[MdpCell]:
             cells.append(
                 MdpCell(
                     n=n,
-                    K=pmf.size,
+                    K=spec.size,
                     b_n=b,
                     threshold=threshold,
                     replicates_used=m_used,

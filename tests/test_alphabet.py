@@ -13,6 +13,7 @@ from entrokit.alphabet import (
     CUSTOM,
     EXP_GEOMETRIC,
     HARMONIC,
+    EXPGEOM_MAX_SIZE,
     LOG_HARMONIC,
     MAX_ALPHABET_SIZE,
     UNIFORM,
@@ -80,6 +81,14 @@ class TestBuildFamily:
         # e^-i is exactly zero past i ~ 745; full support forbids silent zeros
         with pytest.raises(PmfError, match="underflow"):
             build_family(FamilySpec(EXP_GEOMETRIC, 10**3))
+
+    def test_expgeom_size_limit_is_its_last_nonzero_weight(self, monkeypatch):
+        assert family_weights(EXP_GEOMETRIC, EXPGEOM_MAX_SIZE)[-1] > 0.0
+        assert family_weights(EXP_GEOMETRIC, EXPGEOM_MAX_SIZE + 1)[-1] == 0.0
+        # refused when the spec is made, before any weight is computed
+        monkeypatch.setattr(alphabet, "family_weights", None)
+        with pytest.raises(PmfError, match="expgeom weights underflow to zero beyond size 745"):
+            FamilySpec(EXP_GEOMETRIC, EXPGEOM_MAX_SIZE + 1)
 
     def test_logharmonic_weights_built_in_place_are_the_textbook_expression(self):
         idx = np.arange(2, 100_002, dtype=np.float64)

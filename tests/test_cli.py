@@ -18,12 +18,24 @@ import pytest
 from entrokit import alphabet, cli, montecarlo, sampling
 from entrokit.alphabet import MAX_ALPHABET_SIZE
 from entrokit.cli import EXIT_CONFIG, EXIT_DEGENERATE, EXIT_OK, canonical_json, main
+from entrokit.exact import MdpSchedule
 
 LN2 = math.log(2.0)
 
 
 def run_cli(args):
     return main(args)
+
+
+def _field_by_field(value):
+    """``value`` with each record a dict built field by field, in order, and each array a list of floats."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _field_by_field(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, (list, tuple)):
+        return [_field_by_field(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return [float(v) for v in value]
+    return value
 
 
 class TestCanonicalJson:
@@ -51,6 +63,47 @@ class TestCanonicalJson:
     def test_empty_containers_inside_a_record(self):
         record = {"a": {}, "b": [], "c": ({}, [])}
         assert canonical_json(record) == '{\n  "a": {},\n  "b": [],\n  "c": [\n    {},\n    []\n  ]\n}\n'
+
+    @pytest.mark.parametrize("run", ["run_clt", "run_be_sweep", "run_mdp"])
+    def test_a_record_is_written_as_its_fields(self, run):
+        # MDP_ARGS' config: its second mdp cell is infeasible, with null fields
+        config = montecarlo.ExperimentConfig(
+            family="harmonic",
+            k_rule=montecarlo.KRule("fixed", 10),
+            n_grid=(1000, 1000000),
+            replicates=100,
+            master_seed=42,
+            mdp=MdpSchedule(rho=0.1, epsilon=1.0, r=1.0),
+        )
+        records = getattr(montecarlo, run)(config)
+        assert canonical_json({"results": records}) == canonical_json({"results": _field_by_field(records)})
+
+    def test_nan_inside_a_record_array_is_refused(self):
+        z_samples = np.array([0.0, np.nan])
+        summary = montecarlo.EcdfSummary(1000, 2, 2, 0.6, 0.4, 0.3, 0.0, 1.0, 0.0, 0.0, 0.001, z_samples)
+        with pytest.raises(ValueError, match="non-finite"):
+            canonical_json({"experiments": [summary]})
+
+    @pytest.mark.parametrize(
+        "value",
+        [object(), {1, 2}, b"x", np.int64(3), np.float32(0.5)],
+        ids=("object", "set", "bytes", "int64", "float32"),
+    )
+    def test_unsupported_object_is_type_error(self, value):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            canonical_json({"results": [value]})
+
+    def test_a_non_finite_result_writes_no_file(self, tmp_path, monkeypatch, capsys):
+        real = cli.run_clt
+
+        def run_clt_with_a_nan(config):
+            return [dataclasses.replace(s, z_samples=np.append(s.z_samples[:-1], np.nan)) for s in real(config)]
+
+        monkeypatch.setattr(cli, "run_clt", run_clt_with_a_nan)
+        out, csv_path = tmp_path / "clt.json", tmp_path / "clt.csv"
+        assert run_cli(CLT_ARGS + ["--out", str(out), "--csv", str(csv_path)]) == EXIT_CONFIG
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists() and not csv_path.exists()
 
 
 class TestDescribe:
@@ -491,6 +544,19 @@ class TestAlphabetCap:
         assert run_cli(args) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert f"K rule {rule}" in err and f"K={size} at n={n}" in err
+
+
+    def test_expgeom_beyond_its_size_limit_is_refused_before_any_grid_point(self, capsys, no_family_weights):
+        # K = floor(n^0.75) is 177 at n=1000 but 1000 at n=10000, past expgeom's
+        # 745; the first grid point used to be sampled before the run exited
+        args = ["clt", "--family", "expgeom", "--K-rule", "pow:0.75", "--n-grid", "1000,10000", "--reps", "2000"]
+        assert run_cli(args + ["--seed", "1"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "K rule pow:0.75 gives K=1000 at n=10000; expgeom weights underflow to zero beyond size 745" in err
+
+    def test_describe_expgeom_beyond_its_size_limit_is_config_error(self, capsys, no_family_weights):
+        assert run_cli(["describe", "--family", "expgeom:746"]) == EXIT_CONFIG
+        assert "beyond size 745" in capsys.readouterr().err
 
 
 class TestSamplerDomain:

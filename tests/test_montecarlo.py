@@ -30,6 +30,15 @@ from entrokit import montecarlo, sampling
 from entrokit.sampling import derive_stream_seeds, sample_counts_multinomial
 from oracles import CounterRng
 
+_replicate_chunk = montecarlo._replicate_chunk
+
+
+def _chunk_failing_at_the_second_grid_point(spec, n, sampler, master_seed, first, count):
+    """A pool task body, picklable by name, that raises inside the workers at grid point 1."""
+    if first >= montecarlo._GRID_STRIDE:
+        raise RuntimeError("second grid point")
+    return _replicate_chunk(spec, n, sampler, master_seed, first, count)
+
 
 def small_config(**overrides):
     base = dict(
@@ -440,7 +449,12 @@ class TestProcessPool:
             return real(pmf)
 
         monkeypatch.setattr(montecarlo.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(montecarlo, "population_summary", fail_at_second_point)
+        if run is run_mdp:
+            # run_mdp takes every cell's population summary before it samples,
+            # so its run fails while sampling the second cell
+            monkeypatch.setattr(montecarlo, "_replicate_chunk", _chunk_failing_at_the_second_grid_point)
+        else:
+            monkeypatch.setattr(montecarlo, "population_summary", fail_at_second_point)
         config = small_config(
             n_grid=(300, 500), replicates=600, workers=2, mdp=MdpSchedule(rho=0.1, epsilon=1.0, r=0.5)
         )
@@ -593,6 +607,26 @@ class TestRunMdp:
         [cell] = run_mdp(cfg)
         assert cell.threshold == 10.0 * r
         assert (cell.flag, cell.replicates_used, cell.p_hat) == ("infeasible", 0, None)
+
+    def test_a_later_cell_that_overflows_stops_the_run_before_sampling(self, monkeypatch):
+        # the second cell's exponent -2 eps sqrt(n) b_n sigma p^2 overflows; it
+        # used to surface only after the first cell had been sampled
+        def refuse(*args, **kwargs):
+            raise AssertionError("a pool was opened or a replicate sampled")
+
+        monkeypatch.setattr(montecarlo.concurrent.futures, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(montecarlo, "_replicate_chunk", refuse)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        cfg = small_config(
+            family="expgeom",
+            k_rule=parse_k_rule("logpow:0.4"),
+            n_grid=(1000, 10**8),
+            replicates=2000,
+            workers=2,
+            mdp=MdpSchedule(rho=0.1, epsilon=1e305, r=1.1),
+        )
+        with pytest.raises(ValueError, match=r"overflow at epsilon=1e\+305, n=100000000$"):
+            run_mdp(cfg)
 
     def test_expgeom_trend_smoke(self):
         cfg = ExperimentConfig(
