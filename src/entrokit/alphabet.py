@@ -80,11 +80,12 @@ def _is_real(x: object) -> bool:
 
 
 def _as_float(name: str, value: float) -> float:
-    """``value`` as a float: an int or a float (so never a bool or a string) within float range."""
+    """``value`` as a float: an int or a float (so never a bool or a string) within
+    float range, and never -0.0, which becomes +0.0 (so no echo of it reads -0.0)."""
     if not _is_real(value):
         raise ValueError(f"{name} takes an int or a float, got {value!r}")
     try:
-        return float(value)
+        return float(value) + 0.0
     except OverflowError:
         raise ValueError(f"{name} lies beyond float range") from None
 
@@ -155,11 +156,11 @@ def _fsum_terms(term: Callable[[int, int], np.ndarray], size: int) -> float:
     undercuts: the remainders are all zero once the unit falls below
     2^-1074, the spacing of the subnormals.  Until then the remainders go
     through the next pass, with ``e`` lowered to the unit.  One correctly
-    rounded int/int division gives the result.  Terms holding an infinity,
-    a NaN or a value near the overflow range, and sums that are exactly
-    zero (whose sign math.fsum decides) go to ``math.fsum`` over the terms,
-    streamed again from ``term``, which also raises its ``OverflowError``
-    and ``ValueError``.
+    rounded int/int division gives the result, +0.0 for an exact zero as
+    from ``math.fsum``, which keeps only nonzero partials and so starts and
+    ends at +0.0.  A block holding an infinity, a NaN or a value of 2^960 or
+    more sends every term to ``math.fsum``, streamed again from ``term``,
+    which also raises its ``OverflowError`` and ``ValueError``.
     """
     if size < _FSUM_MIN_SIZE:
         return math.fsum(term(0, size).data)
@@ -185,8 +186,7 @@ def _fsum_terms(term: Callable[[int, int], np.ndarray], size: int) -> float:
             x = r
             k -= 53 - _FSUM_LIFT
     else:  # every block was extracted
-        if total:
-            return total / (1 << _FSUM_UNIT)
+        return total / (1 << _FSUM_UNIT)
     return math.fsum(chain.from_iterable(term(start, stop).data for start, stop in blocks))
 
 

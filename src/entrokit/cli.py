@@ -9,7 +9,8 @@ mdp        moderate-deviation exceedance experiment
 
 JSON is the canonical output; floats are serialized with 17 significant
 digits so every emitted file parses back losslessly.  CSV is a lossy
-convenience export.  Experiment output is a pure function of the
+convenience export.  Both targets are opened before any work and written
+all or none.  Experiment output is a pure function of the
 configuration (seed included), so files are byte-identical across worker
 counts; wall time goes to stderr, never into the payload.
 
@@ -20,17 +21,19 @@ Exit codes: 0 success, 2 configuration error, 3 numeric degeneracy
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import itertools
 import json
 import math
 import os
+import shutil
 import sys
 import time
 import warnings
 from pathlib import Path
-from typing import Any, Iterable, NamedTuple, Sequence
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 # entrokit calls no BLAS routine; its parallelism is --workers processes.
 # OpenBLAS starts its thread pool when numpy is first imported, so this must
@@ -125,6 +128,47 @@ def canonical_json(obj: Any) -> str:
     return "".join(out)
 
 
+@contextlib.contextmanager
+def _outputs(args: argparse.Namespace) -> Iterator[dict[str, TextIO]]:
+    """Open the ``--out`` and ``--csv`` targets before any work; yield them by flag name.
+
+    A regular file, or a new one, is written through a temporary file beside
+    it (beside the file a symlink names), renamed into place once the block
+    returns, with the file's permissions (a hard link to the old file keeps
+    the old text); anything else, such as ``/dev/stdout`` or a pipe, is
+    opened as it is.  When the block raises, the temporary files are
+    removed and no regular file is touched.
+    """
+    handles: dict[str, TextIO] = {}
+    renames: list[tuple[str, str]] = []
+    try:
+        for name, newline in (("out", None), ("csv", "")):
+            path = temp = getattr(args, name, None)
+            if not path:
+                continue
+            if not os.path.exists(path) or os.path.isfile(path):
+                real = os.path.realpath(path)  # so a symlink is written through, not replaced
+                temp = f"{real}.{os.getpid()}.{name}.tmp"  # unique among live processes
+                renames.append((temp, real))
+            try:
+                handles[name] = open(temp, "w", newline=newline, encoding="utf-8")
+            except OSError as exc:
+                raise ConfigError(f"cannot write --{name} {path}: {exc.strerror}") from None
+            if temp != path and os.path.exists(path):
+                shutil.copymode(path, temp)  # the file keeps its permissions
+        yield handles
+        for handle in handles.values():
+            handle.close()
+        for temp, path in renames:
+            os.replace(temp, path)
+    finally:
+        for handle in handles.values():
+            handle.close()
+        for temp, _ in renames:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(temp)
+
+
 def _write_record(
     args: argparse.Namespace,
     command: str,
@@ -132,7 +176,8 @@ def _write_record(
     results: Any,
     rows: Iterable[dict] | None = None,
 ) -> None:
-    """Write the JSON record to ``--out`` (else stdout) and, given ``--csv``, its ``rows``.
+    """Write the JSON record to ``--out`` (else stdout) and, given ``--csv``, its ``rows``,
+    into the targets ``main`` opened as ``args.outputs``.
 
     ``results`` may hold records and arrays.  The CSV has one line per row,
     headed by the row's keys; floats as repr, None as an empty field.
@@ -144,16 +189,12 @@ def _write_record(
         "results": results,
     }
     text = canonical_json(record)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-    if rows is not None and args.csv:
+    if rows is not None and "csv" in args.outputs:
         rows = list(rows)
-        with open(args.csv, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
-            writer.writeheader()
-            writer.writerows(rows)
+        writer = csv.DictWriter(args.outputs["csv"], fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    args.outputs.get("out", sys.stdout).write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +287,10 @@ def _resolve_experiment(args: argparse.Namespace) -> tuple[ExperimentConfig, dic
     values: dict[str, Any] = {}
     for setting in args.settings:
         value = getattr(args, setting.name)
-        values[setting.name] = base.get(setting.name, setting.default) if value is None else value
+        if value is None:
+            values[setting.name] = base.get(setting.name, setting.default)
+        else:  # a number flag passes _as_float, as a config file's number does
+            values[setting.name] = _as_float(setting.name, value) if setting.kind == "number" else value
     missing = [_flag(s) for s in args.settings if values[s.name] is None]
     if missing:
         raise ConfigError(f"missing required options: {', '.join(missing)} (no silent defaults)")
@@ -273,7 +317,7 @@ def _resolve_experiment(args: argparse.Namespace) -> tuple[ExperimentConfig, dic
 
 def _cmd_describe(args: argparse.Namespace) -> int:
     spec = parse_family(args.family)
-    delta = float(args.delta)
+    delta = _as_float("delta", args.delta)
     pmf = build_family(spec)
     pop = population_summary(pmf)
     results: dict[str, Any] = {
@@ -376,7 +420,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        code = args.func(args)
+        with _outputs(args) as args.outputs:
+            code = args.func(args)
     except DegenerateVarianceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE

@@ -94,6 +94,10 @@ _MDP_MAX_REPLICATES = 200_000
 # (K=2 to 1e6, 2-vCPU Xeon), so a grid point is refused above this many draws
 # (4-11 hours); the chain's cost does not depend on n.
 _MAX_CATEGORICAL_DRAWS = 1 << 40
+# The chain runs K cells per replicate, at 1.2-2.1 us a cell with its decompose
+# (K=1e3 to 1e5, in process, 2-vCPU Xeon), so a grid point is refused above this
+# many cells (6-10 hours); the categorical sampler's draws do not depend on K.
+_MAX_CHAIN_CELLS = 1 << 34
 # This process's current grid point, {spec: Pmf}: a worker keeps it, and so its
 # per-Pmf tables, across tasks; forked workers start with the parent's.
 _points: dict[FamilySpec, Pmf] = {}
@@ -206,8 +210,8 @@ class ExperimentConfig:
             raise ConfigError(f"replicates must be <= 2^24 per grid point, got {self.replicates}")
         if self.sampler not in SAMPLERS:
             raise ConfigError(f"sampler must be one of {SAMPLERS}, got {self.sampler!r}")
-        for n in grid:
-            size = self.k_rule.alphabet_size(n)
+        sizes = [self.k_rule.alphabet_size(n) for n in grid]
+        for n, size in zip(grid, sizes):
             gives = f"K rule {self.k_rule.render()} gives K={size} at n={n}"
             if size < 2:
                 raise ConfigError(f"{gives}; need K >= 2")
@@ -221,6 +225,12 @@ class ExperimentConfig:
                 f"the categorical sampler would make {grid[-1] * reps:.3g} draws at n={grid[-1]} "
                 f"({reps} replicates), above its budget of 2^40; "
                 f"--sampler multinomial costs O(K) per replicate whatever n"
+            )
+        if self.sampler == "multinomial" and max(sizes) * reps > _MAX_CHAIN_CELLS:
+            raise ConfigError(
+                f"the multinomial sampler would run {max(sizes) * reps:.3g} chain cells at "
+                f"K={max(sizes)} ({reps} replicates), above its budget of 2^34; "
+                f"--sampler categorical makes n draws per replicate whatever K"
             )
 
 
@@ -522,7 +532,7 @@ def run_mdp(config: ExperimentConfig) -> list[MdpCell]:
         for gi, (n, m_used, (spec, condition)) in enumerate(zip(config.n_grid, sizes, points)):
             b = schedule.scale(n)
             threshold = schedule.r * b
-            target = -0.5 * schedule.r**2
+            target = 0.0 - 0.5 * schedule.r**2  # +0.0 at r = 0, where -0.5 * r**2 is -0.0
             if m_used:
                 z = simulate(spec, n, gi, m_used)[:, 0]
                 exceedances = int(np.sum(np.abs(z) > threshold))

@@ -57,7 +57,9 @@ same bits as the float formulation:
 
 * the cell ``floor(m * (K * 2^-53))`` equals ``floor((m * 2^-53) * K)``:
   ``m * 2^-53`` and ``K * 2^-53`` are exact (scaling by a power of two),
-  so both products round the same real number ``m * K * 2^-53`` once;
+  so both products round the same real number ``m * K * 2^-53`` once.
+  For K < 2^52 it is below K: that real is at most ``K - K * 2^-53``, more
+  than half an ulp below K, or K's lower neighbour if K is a power of two;
 * the flip test ``m < ceil(threshold * 2^53)`` equals
   ``m * 2^-53 < threshold``: ``threshold * 2^53`` is exact for a
   threshold in [0, 1], and for an integer m, ``m < t`` holds exactly when
@@ -244,11 +246,11 @@ class AliasTable:
     """Vose alias structure over a Pmf: O(K) construction, O(1) per draw.
 
     A draw reads a cell uniform and a flip uniform, picks the cell
-    ``floor(u_cell * K)`` (clamped to K-1) and keeps it when
-    ``u_flip < threshold[cell]``, else takes its alias.  The table stores
-    that rule in the integer form the block kernel uses (see the module
-    docstring): ``_cutoff = ceil(threshold * 2^53)``, and ``_pick``, which
-    holds cell i's alias at ``2i`` and i itself at ``2i + 1``.
+    ``floor(u_cell * K)``, below K as ``u_cell <= 1 - 2^-53``, and keeps it
+    when ``u_flip < threshold[cell]``, else takes its alias.  The table holds
+    the kernel's integer form of that rule (derived, with the cell bound, in
+    the module docstring): ``_cutoff = ceil(threshold * 2^53)``, and
+    ``_pick``, with cell i's alias at ``2i`` and i itself at ``2i + 1``.
     """
 
     def __init__(self, probs: np.ndarray):
@@ -262,11 +264,9 @@ class AliasTable:
     def _blocks(self, key: int, first: int, count: int) -> Iterator[tuple[int, np.ndarray]]:
         """Draw ``count`` symbols from stream ``key`` after counter ``first``,
         sub-block by sub-block, as ``(offset, indices)``; the draws read outputs
-        ``first+1 .. first+2*count``.
+        ``first+1 .. first+2*count`` in the module docstring's batch layout.
 
-        Draw j of a batch of b draws after counter c reads output c+1+j for
-        the cell and c+1+b+j for the flip.  Each ``indices`` array is a
-        buffer view that the next sub-block overwrites.
+        Each ``indices`` array is a buffer view that the next sub-block overwrites.
         """
         size = min(count, _SUB_BLOCK)
         words = np.empty(size, dtype=np.uint64)
@@ -286,7 +286,6 @@ class AliasTable:
             # m < 2^53, so its int64 view is the same value (and converts faster)
             np.multiply(m.view(np.int64), self._scale, out=x)
             np.copyto(c, x, casting="unsafe")
-            np.minimum(c, self.size - 1, out=c)
             _mantissas(key, flip_first + offset, m, tmp)
             # indices are in range by construction; "clip" skips the bounds pass
             np.take(self._cutoff, c, out=tmp, mode="clip")

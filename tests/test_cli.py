@@ -572,6 +572,14 @@ class TestSamplerDomain:
         assert run_cli(args) == EXIT_CONFIG
         assert "2^62" in capsys.readouterr().err
 
+    def test_chain_run_beyond_its_cell_budget_is_config_error(self, capsys, no_family_weights):
+        # K chain cells per replicate: K = 10^6 at the replicate cap would take about 194 days
+        args = ["clt", "--family", "harmonic", "--K-rule", "fixed:1000000", "--n-grid", "1000000"]
+        started = time.perf_counter()
+        assert run_cli(args + ["--reps", str(1 << 24), "--seed", "1"]) == EXIT_CONFIG
+        assert time.perf_counter() - started < 1.0
+        assert "above its budget of 2^34; --sampler categorical" in capsys.readouterr().err
+
     def test_categorical_run_beyond_its_draw_budget_is_config_error(self, capsys, no_family_weights):
         # alias draws cost O(n): one replicate at n = 2^62 would take millennia
         args = ["clt", "--family", "harmonic", "--K-rule", "fixed:2", "--n-grid", str(1 << 62), "--reps", "100"]
@@ -728,6 +736,53 @@ class TestMdpCommand:
         assert "epsilon=1e+308, n=1000" in capsys.readouterr().err
 
 
+class TestOutputs:
+    @pytest.mark.parametrize("flag", ["--out", "--csv"])
+    def test_missing_directory_exits_2_before_the_run(self, tmp_path, monkeypatch, capsys, flag):
+        def refuse(config):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli, "run_clt", refuse)
+        assert run_cli(CLT_ARGS + [flag, str(tmp_path / "missing" / "x")]) == EXIT_CONFIG
+        assert f"cannot write {flag} " in capsys.readouterr().err
+
+    def test_bad_csv_leaves_no_out_file(self, tmp_path):
+        out = tmp_path / "clt.json"
+        assert run_cli(CLT_ARGS + ["--out", str(out), "--csv", str(tmp_path / "missing" / "z.csv")]) == EXIT_CONFIG
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_run_keeps_the_old_files_and_no_temporary(self, tmp_path, monkeypatch):
+        def fail(config):
+            raise ValueError("the run failed")
+
+        monkeypatch.setattr(cli, "run_clt", fail)
+        out, csv_path = tmp_path / "clt.json", tmp_path / "clt.csv"
+        out.write_text("old json")
+        csv_path.write_text("old csv")
+        assert run_cli(CLT_ARGS + ["--out", str(out), "--csv", str(csv_path)]) == EXIT_CONFIG
+        assert (out.read_text(), csv_path.read_text()) == ("old json", "old csv")
+        assert sorted(tmp_path.iterdir()) == [csv_path, out]
+
+    def test_a_replaced_file_keeps_its_permissions(self, tmp_path):
+        out = tmp_path / "h.json"
+        out.write_text("old")
+        out.chmod(0o600)
+        assert run_cli(["describe", "--family", "harmonic:4", "--out", str(out)]) == EXIT_OK
+        assert (out.stat().st_mode & 0o777, json.loads(out.read_text())["command"]) == (0o600, "describe")
+
+    def test_a_symlink_is_written_through(self, tmp_path):
+        target, link = tmp_path / "real.json", tmp_path / "link.json"
+        link.symlink_to(target)
+        assert run_cli(["describe", "--family", "harmonic:4", "--out", str(link)]) == EXIT_OK
+        assert link.is_symlink() and json.loads(target.read_text())["command"] == "describe"
+        assert sorted(tmp_path.iterdir()) == [link, target]
+
+    def test_a_target_that_is_no_regular_file_is_written_in_place(self):
+        # /dev/null takes the record as it is: no temporary file beside it, no rename over it
+        assert run_cli(["describe", "--family", "harmonic:4", "--out", os.devnull]) == EXIT_OK
+        assert Path(os.devnull).is_char_device()
+
+
 def test_stdout_default_and_wall_time_on_stderr(capsys):
     assert run_cli(["describe", "--family", "uniform:4"]) == EXIT_OK
     captured = capsys.readouterr()
@@ -791,6 +846,51 @@ def test_payload_and_csv_match_recorded_hashes(tmp_path, args, json_sha, csv_sha
     assert run_cli(args + ["--out", str(out), "--csv", str(csv_path)]) == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == json_sha
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == csv_sha
+
+
+def _negative_zeros(text):
+    """The JSON numbers in ``text`` that parse to -0.0."""
+    found = []
+
+    def parse(literal):
+        value = float(literal)
+        if value == 0.0 and math.copysign(1.0, value) < 0.0:
+            found.append(literal)
+        return value
+
+    json.loads(text, parse_float=parse)
+    return found
+
+
+MDP_K10 = ["mdp", "--family", "harmonic", "--K-rule", "fixed:10", "--n-grid", "1000", "--reps", "100", "--seed", "1"]
+MDP_K10 += ["--mdp-rho", "0.1", "--mdp-eps", "1.0"]
+
+
+@pytest.mark.parametrize(
+    "args, echoed",
+    [
+        (["describe", "--family", "harmonic:10", "--delta", "-0.0"], "delta"),
+        (CLT_ARGS + ["--delta", "-0.0"], "delta"),
+        (BE_ARGS + ["--delta", "-0.0"], "delta"),
+        (MDP_K10 + ["--mdp-r", "1.0", "--delta", "-0.0"], "delta"),
+        (MDP_K10 + ["--mdp-r", "0"], "mdp_r"),
+        (MDP_K10 + ["--mdp-r", "-0.0"], "mdp_r"),
+    ],
+    ids=("describe-delta", "clt-delta", "be-delta", "mdp-delta", "mdp-r-0", "mdp-r-negzero"),
+)
+def test_no_payload_holds_a_negative_zero(tmp_path, args, echoed):
+    out = tmp_path / "out.json"
+    assert run_cli(args + ["--out", str(out)]) == EXIT_OK
+    text = out.read_text()
+    assert json.loads(text)["config"][echoed] == 0.0
+    assert _negative_zeros(text) == []
+
+
+def test_negative_zero_in_a_config_file_is_echoed_as_zero(tmp_path):
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "out.json"
+    cfg_path.write_text(json.dumps({"delta": -0.0}))
+    assert run_cli(CLT_ARGS + ["--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+    assert _negative_zeros(out.read_text()) == []
 
 
 def _benchmark_workloads():

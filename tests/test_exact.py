@@ -437,6 +437,10 @@ class TestMdpCondition:
         with pytest.raises(ValueError, match=r"r\*r finite"):
             MdpSchedule(rho=0.25, epsilon=1.0, r=10**200)
 
+    def test_schedule_holds_no_negative_zero(self):
+        # through alphabet._as_float, which every real setting and echo passes
+        assert math.copysign(1.0, MdpSchedule(rho=0.25, epsilon=1.0, r=-0.0).r) == 1.0
+
 
 _SCHEDULE = MdpSchedule(rho=0.2, epsilon=1.0, r=0.5)
 # every exact function that takes a sample size n, or a moment offset delta

@@ -174,11 +174,14 @@ class TestExperimentConfig:
             small_config(delta=value)
 
     @pytest.mark.parametrize(
-        "value, held", [(1, 1.0), (0, 0.0), (np.int64(1), 1.0), (0.5, 0.5), (np.float64(0.25), 0.25)], ids=repr
+        "value, held",
+        [(1, 1.0), (0, 0.0), (np.int64(1), 1.0), (0.5, 0.5), (np.float64(0.25), 0.25), (-0.0, 0.0)],
+        ids=repr,
     )
     def test_delta_is_held_as_a_float(self, value, held):
+        # sign of zero included: -0.0 is held as +0.0
         delta = small_config(delta=value).delta
-        assert type(delta) is float and delta == held
+        assert type(delta) is float and (delta, math.copysign(1.0, delta)) == (held, math.copysign(1.0, held))
 
     def test_replicate_cap_bounds_the_memory_of_a_grid_point(self):
         assert small_config(replicates=1 << 24).replicates == 1 << 24
@@ -204,6 +207,21 @@ class TestExperimentConfig:
         assert small_config(sampler="categorical", n_grid=(5_000_000,), mdp=mdp).mdp == mdp
         with pytest.raises(ConfigError, match="200000 replicates"):
             small_config(sampler="categorical", n_grid=(6_000_000,), mdp=mdp)
+
+    def test_chain_cell_budget(self):
+        # K * replicates chain cells per grid point, up to 2^34, at the grid's
+        # largest K; an mdp cell counts as the 200 000 replicates it may raise itself to
+        big = KRule("fixed", 1 << 20)
+        assert small_config(k_rule=big, replicates=1 << 14).replicates == 1 << 14
+        with pytest.raises(ConfigError, match="above its budget of 2\\^34; --sampler categorical"):
+            small_config(k_rule=big, replicates=(1 << 14) + 1)
+        assert small_config(k_rule=big, replicates=(1 << 14) + 1, sampler="categorical").replicates == (1 << 14) + 1
+        with pytest.raises(ConfigError, match="at K=1000000 "):
+            small_config(k_rule=KRule("pow", 0.5), n_grid=(100, 10**12), replicates=20_000)
+        mdp = MdpSchedule(rho=0.1, epsilon=1.0, r=1.0)
+        assert small_config(k_rule=KRule("fixed", 85_000), mdp=mdp).mdp == mdp
+        with pytest.raises(ConfigError, match="200000 replicates"):
+            small_config(k_rule=KRule("fixed", 86_000), mdp=mdp)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -565,6 +583,7 @@ class TestRunMdp:
         assert cell.p_hat == 1.0
         assert cell.scaled_log_prob == 0.0
         assert cell.target == 0.0
+        assert math.copysign(1.0, cell.target) == math.copysign(1.0, cell.threshold) == 1.0
 
     def test_auto_raise_replicates(self):
         # threshold ~2.9 sigma: Gaussian exceedance ~3.7e-3 needs ~5400 reps

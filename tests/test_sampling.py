@@ -22,6 +22,7 @@ from entrokit.sampling import (
     _LGAMMA_TOL,
     _SCALAR_DRAWS,
     _SUB_BLOCK,
+    _TWO_NEG_53,
     AliasTable,
     CountVector,
     _binomial_inversion,
@@ -642,6 +643,43 @@ class TestAliasTable:
         draw_time = time.perf_counter() - t0
         assert build_time < 5.0
         assert draw_time < 2.0
+
+
+# Alphabet sizes at and beside every power of two below 2^52, the alias
+# kernel's decimal sizes and the cap, and the largest K the cell bound covers.
+_K_EDGES = sorted({k for e in range(52) for k in (2**e - 1, 2**e, 2**e + 1)} - {0} | {10**4, 10**7, 2**52 - 1})
+
+
+class TestAliasCellBound:
+    """The kernel's cell ``m * (K * 2^-53)``, truncated, is at most K - 1 for
+    every 53-bit m and K < 2^52, so it needs no clamp; at the two largest m it
+    is exactly K - 1."""
+
+    @pytest.mark.parametrize("m", [2**53 - 1, 2**53 - 2])
+    def test_largest_mantissas_give_the_last_cell(self, m):
+        # the kernel's float path: the mantissa's int64 view times AliasTable._scale, cast unsafely
+        mantissas = np.full(len(_K_EDGES), m, dtype=np.uint64).view(np.int64)
+        scales = np.array([k * _TWO_NEG_53 for k in _K_EDGES])
+        cells = np.empty(len(_K_EDGES), dtype=np.int64)
+        np.copyto(cells, np.multiply(mantissas, scales), casting="unsafe")
+        assert cells.tolist() == [k - 1 for k in _K_EDGES]
+
+    @pytest.mark.parametrize("m", [2**53 - 1, 2**53 - 2])
+    def test_kernel_draws_the_last_cells_alias(self, m, monkeypatch):
+        # every uniform at m: the cell is K - 1, whose threshold 1/H_K lies below
+        # m * 2^-53, so each draw is that cell's alias; the clipped gathers would
+        # turn a cell of K into K - 1 itself
+        def fill(key, first, z, tmp):
+            z[:] = m
+            return z
+
+        monkeypatch.setattr(sampling, "_mantissas", fill)
+        for k in (k for k in _K_EDGES if 2 <= k <= 10**4):
+            table = AliasTable(build_family(FamilySpec(HARMONIC, k)).probs)
+            assert table._scale == k * _TWO_NEG_53
+            [(_, drawn)] = table._blocks(0, 0, 3)
+            alias = int(table._pick[2 * (k - 1)])
+            assert alias != k - 1 and drawn.tolist() == [alias] * 3, k
 
 
 # sha256 of categorical counts (int64 little-endian), recorded before the
