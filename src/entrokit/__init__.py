@@ -22,6 +22,7 @@ _EXPORTS = {
     "HARMONIC": "alphabet",
     "LOG_HARMONIC": "alphabet",
     "UNIFORM": "alphabet",
+    "ConfigError": "alphabet",
     "FamilySpec": "alphabet",
     "Pmf": "alphabet",
     "PmfError": "alphabet",
@@ -46,7 +47,6 @@ _EXPORTS = {
     "plugin_entropy": "estimator",
     "BeSweepResult": "montecarlo",
     "BeSweepRow": "montecarlo",
-    "ConfigError": "montecarlo",
     "EcdfSummary": "montecarlo",
     "ExperimentConfig": "montecarlo",
     "InvariantViolation": "montecarlo",

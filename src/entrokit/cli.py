@@ -16,6 +16,9 @@ counts; wall time goes to stderr, never into the payload.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric degeneracy
 (zero log-probability variance where it is forbidden).
+
+``describe`` loads only ``alphabet`` and ``exact``; an experiment command
+loads the rest (``montecarlo``, ``sampling``, ``estimator``) on first use.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import sys
 import time
 import warnings
 from pathlib import Path
-from typing import Any, Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 # entrokit calls no BLAS routine; its parallelism is --workers processes.
 # OpenBLAS starts its thread pool when numpy is first imported, so this must
@@ -42,7 +45,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from .alphabet import PmfError, _as_float, _is_integer, _is_real, build_family, parse_family
+from .alphabet import ConfigError, PmfError, _as_float, _is_integer, _is_real, build_family, parse_family
 from .exact import (
     DegenerateVarianceError,
     MdpSchedule,
@@ -52,14 +55,30 @@ from .exact import (
     population_summary,
     split_moment_bound,
 )
-from .montecarlo import (
-    ConfigError,
-    ExperimentConfig,
-    parse_k_rule,
-    run_be_sweep,
-    run_clt,
-    run_mdp,
-)
+
+if TYPE_CHECKING:
+    from .montecarlo import ExperimentConfig, parse_k_rule, run_be_sweep, run_clt, run_mdp
+
+# The experiment stack (montecarlo, and through it sampling, estimator and
+# concurrent.futures) loads on first use, so describe never loads it.  These
+# stay module globals that the experiment commands look up at call time, so
+# a wrapper set on one (say cli.run_clt) is the one called.
+_EXPERIMENT_NAMES = ("ExperimentConfig", "parse_k_rule", "run_clt", "run_be_sweep", "run_mdp")
+
+
+def _load_experiments() -> None:
+    """Bind every experiment name as a module global; a name already set keeps its value."""
+    from . import montecarlo
+
+    for name in _EXPERIMENT_NAMES:
+        globals().setdefault(name, getattr(montecarlo, name))
+
+
+def __getattr__(name: str) -> object:
+    if name not in _EXPERIMENT_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load_experiments()
+    return globals()[name]
 
 SCHEMA_VERSION = "1.0.0"
 
@@ -137,7 +156,8 @@ def _outputs(args: argparse.Namespace) -> Iterator[dict[str, TextIO]]:
     returns, with the file's permissions (a hard link to the old file keeps
     the old text); anything else, such as ``/dev/stdout`` or a pipe, is
     opened as it is.  When the block raises, the temporary files are
-    removed and no regular file is touched.
+    removed and no regular file is touched.  Both flags naming one such
+    file is a ``ConfigError``: one rename would drop the other's text.
     """
     handles: dict[str, TextIO] = {}
     renames: list[tuple[str, str]] = []
@@ -148,6 +168,8 @@ def _outputs(args: argparse.Namespace) -> Iterator[dict[str, TextIO]]:
                 continue
             if not os.path.exists(path) or os.path.isfile(path):
                 real = os.path.realpath(path)  # so a symlink is written through, not replaced
+                if any(real == target for _, target in renames):
+                    raise ConfigError(f"--out and --csv name the same file {path}")
                 temp = f"{real}.{os.getpid()}.{name}.tmp"  # unique among live processes
                 renames.append((temp, real))
             try:
@@ -190,9 +212,11 @@ def _write_record(
     }
     text = canonical_json(record)
     if rows is not None and "csv" in args.outputs:
-        rows = list(rows)
-        writer = csv.DictWriter(args.outputs["csv"], fieldnames=list(rows[0]))
+        rows = iter(rows)  # streamed: only the first row is held, for the header
+        first = next(rows)
+        writer = csv.DictWriter(args.outputs["csv"], fieldnames=list(first))
         writer.writeheader()
+        writer.writerow(first)
         writer.writerows(rows)
     args.outputs.get("out", sys.stdout).write(text)
 
@@ -283,6 +307,7 @@ def _resolve_experiment(args: argparse.Namespace) -> tuple[ExperimentConfig, dic
     """Merge flags over config-file values over defaults into an ExperimentConfig
     plus its canonical echo.  Values are never converted: flags are parsed
     to, and config-file values checked against, their setting's JSON type."""
+    _load_experiments()
     base = _load_config_file(args.config) if args.config else {}
     values: dict[str, Any] = {}
     for setting in args.settings:

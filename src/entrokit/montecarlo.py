@@ -47,6 +47,7 @@ from .alphabet import (
     HARMONIC,
     LOG_HARMONIC,
     UNIFORM,
+    ConfigError,
     FamilySpec,
     Pmf,
     PmfError,
@@ -103,10 +104,6 @@ _MAX_CHAIN_CELLS = 1 << 34
 _points: dict[FamilySpec, Pmf] = {}
 # simulate(spec, n, grid_index, count): the (z, kl, chi2) rows of a grid point.
 _Simulate = Callable[[FamilySpec, int, int, int], np.ndarray]
-
-
-class ConfigError(ValueError):
-    """An experiment configuration violates its contract."""
 
 
 class InvariantViolation(AssertionError):

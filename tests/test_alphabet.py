@@ -107,6 +107,29 @@ class TestBuildFamily:
             tracemalloc.stop()
         assert peak < 2.25 * 8 * size
 
+    @pytest.mark.parametrize("kind", [HARMONIC, UNIFORM])
+    def test_weights_take_one_vector(self, kind):
+        # harmonic's 1/i is divided in place over its index vector
+        size = 1 << 20
+        tracemalloc.start()
+        try:
+            family_weights(kind, size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 8 * size
+
+    def test_support_check_allocates_no_mask(self):
+        # min and max only; an isfinite or <= 0 mask would take a byte a cell
+        probs = np.full(1 << 20, 1.0 / (1 << 20))
+        tracemalloc.start()
+        try:
+            alphabet._check_support(probs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < probs.size / 16
+
     def test_harmonic_strictly_decreasing(self):
         pmf = build_family(FamilySpec(HARMONIC, 100))
         assert np.all(np.diff(pmf.probs) < 0.0)
@@ -431,7 +454,17 @@ def test_direct_pmf_construction_enforces_tight_sum():
 
 @pytest.mark.parametrize(
     "probs, message",
-    [([[0.5, 0.5]], "1-d"), ([], "1-d"), ([np.nan, 1.0], "non-finite"), ([1.5, -0.5], "full support"), ([1.0, 0.0], "full support")],
+    [
+        ([[0.5, 0.5]], "1-d"),
+        ([], "1-d"),
+        ([np.nan, 1.0], "non-finite"),
+        ([1.5, -0.5], "full support"),
+        ([1.0, 0.0], "full support"),
+        # a NaN reaches both extremes of the one min/max pass, so it is named before a zero
+        ([0.0, np.nan, 1.0], "non-finite"),
+        ([np.inf, -1.0], "non-finite"),
+        ([2.0, -np.inf], "non-finite"),
+    ],
 )
 def test_direct_pmf_construction_enforces_support(probs, message):
     with pytest.raises(PmfError, match=message):

@@ -1,14 +1,17 @@
+import argparse
 import ast
 import csv
 import dataclasses
 import hashlib
 import importlib.util
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -777,10 +780,47 @@ class TestOutputs:
         assert link.is_symlink() and json.loads(target.read_text())["command"] == "describe"
         assert sorted(tmp_path.iterdir()) == [link, target]
 
+    @pytest.mark.parametrize("target", ["new", "old", "symlink"])
+    def test_out_and_csv_naming_one_file_exit_2_before_the_run(self, tmp_path, monkeypatch, capsys, target):
+        # one rename over the other would leave only the CSV
+        def refuse(config):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli, "run_clt", refuse)
+        out = csv_path = tmp_path / "same.out"
+        if target != "new":
+            out.write_text("old")
+        if target == "symlink":
+            csv_path = tmp_path / "link.csv"
+            csv_path.symlink_to(out)
+        assert run_cli(CLT_ARGS + ["--out", str(out), "--csv", str(csv_path)]) == EXIT_CONFIG
+        assert "--out and --csv name the same file" in capsys.readouterr().err
+        left = {"new": [], "old": ["same.out"], "symlink": ["link.csv", "same.out"]}[target]
+        assert sorted(p.name for p in tmp_path.iterdir()) == left
+        assert target == "new" or out.read_text() == "old"
+
     def test_a_target_that_is_no_regular_file_is_written_in_place(self):
         # /dev/null takes the record as it is: no temporary file beside it, no rename over it
         assert run_cli(["describe", "--family", "harmonic:4", "--out", os.devnull]) == EXIT_OK
         assert Path(os.devnull).is_char_device()
+
+
+def test_csv_rows_are_streamed(tmp_path):
+    # only the first row is held, for the header: a list of these 100 000 rows would take about 25 MB
+    rows = ({"n": 1000, "K": 2, "rank": j, "z": j / 7} for j in range(100_000))
+    path = tmp_path / "z.csv"
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        args = argparse.Namespace(outputs={"csv": handle, "out": io.StringIO()})
+        tracemalloc.start()
+        try:
+            cli._write_record(args, "clt", {}, {}, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 2 << 20
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert (len(lines), lines[:2]) == (100_001, ["n,K,rank,z", "1000,2,0,0.0"])
+    assert lines[-1] == f"1000,2,99999,{99999 / 7!r}"
 
 
 def test_stdout_default_and_wall_time_on_stderr(capsys):
@@ -950,6 +990,57 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     # ProcessPoolExecutor, which only a multi-process run reaches
     code = "import sys, entrokit.cli; print('concurrent.futures.process' in sys.modules)"
     assert _fresh_python(code) == "False"
+
+
+EXPERIMENT_STACK = ["concurrent.futures", "entrokit.estimator", "entrokit.montecarlo", "entrokit.sampling"]
+
+
+def _stack_after(code):
+    """The EXPERIMENT_STACK modules loaded once ``code`` has run in a new interpreter that imported the CLI."""
+    probe = f"print(sorted(set({EXPERIMENT_STACK!r}) & set(sys.modules)))"
+    return _fresh_python("\n".join(["import os, sys", "from entrokit import cli", code, probe]))
+
+
+def test_cli_import_and_describe_leave_the_experiment_stack_unloaded():
+    assert _stack_after("") == "[]"
+    describe = "assert cli.main(['describe', '--family', 'harmonic:100', '--out', os.devnull]) == 0"
+    assert _stack_after(describe) == "[]"
+
+
+def test_an_experiment_run_loads_the_experiment_stack():
+    assert _stack_after(f"assert cli.main({CLT_ARGS + ['--out', os.devnull]!r}) == 0") == str(EXPERIMENT_STACK)
+
+
+def test_cli_trace_points_resolve_before_any_run():
+    # the traced benchmark reads each cli trace point by getattr before its first command
+    names = [name for module, name in _trace_points() if module == "cli"]
+    code = (
+        "from entrokit import cli\n"
+        f"print(all(callable(getattr(cli, name)) for name in {names!r}), hasattr(cli, 'run_nothing'))\n"
+        "from entrokit import montecarlo\n"
+        "print(all(getattr(cli, name) is getattr(montecarlo, name) for name in cli._EXPERIMENT_NAMES))"
+    )
+    assert _fresh_python(code).split() == ["True", "False", "True"]
+
+
+def test_a_wrapper_set_before_the_stack_loads_is_the_one_called():
+    code = (
+        "import os\n"
+        "from entrokit import cli\n"
+        "calls = []\n"
+        "cli.run_clt = lambda config: calls.append(config) or run_clt(config)\n"
+        "from entrokit.montecarlo import run_clt\n"
+        f"assert cli.main({CLT_ARGS + ['--out', os.devnull]!r}) == 0\n"
+        "print(len(calls), cli.run_clt is not run_clt)"
+    )
+    assert _fresh_python(code) == "1 True"
+
+
+def test_config_error_is_defined_in_alphabet():
+    import entrokit
+
+    assert entrokit._EXPORTS["ConfigError"] == "alphabet"
+    assert entrokit.ConfigError is montecarlo.ConfigError is alphabet.ConfigError is cli.ConfigError
 
 
 def test_package_import_loads_no_numpy_and_sets_nothing():
